@@ -10,11 +10,14 @@ test:
 
 # verify is the full pre-merge gate: build, vet, and the complete test
 # suite under the race detector (the parallel sub-cluster sweep makes
-# -race load-bearing, not optional).
+# -race load-bearing, not optional), plus vet and tests of the nested
+# perfbench module, which the root ./... never builds but which calls
+# the core API.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # lint runs the project's static-analysis gate: gofmt, go vet, the
 # seven aladdin-vet invariant analyzers (determinism, errflow,

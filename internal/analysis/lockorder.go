@@ -16,8 +16,8 @@ const lockorderMarker = "lockorder-ok"
 const lockLevelWord = "lock-level"
 
 // lockorderScope limits the analyzer to the packages whose locks form
-// a declared hierarchy: the sharded scheduler core
-// (placeMu → coreShard.mu → ShardedSession.mu), the HTTP server's
+// a declared hierarchy: the scheduler core
+// (Session.placeMu → shard.mu → Session.mu), the HTTP server's
 // session RWMutex, and the simulator.  Fixture packages load outside
 // the module path and are always in scope.
 var lockorderScope = []string{

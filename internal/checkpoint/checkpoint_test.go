@@ -2,10 +2,9 @@ package checkpoint
 
 import (
 	"bytes"
-	"strings"
+	"reflect"
 	"testing"
 
-	"aladdin/internal/constraint"
 	"aladdin/internal/core"
 	"aladdin/internal/resource"
 	"aladdin/internal/topology"
@@ -13,23 +12,28 @@ import (
 	"aladdin/internal/workload"
 )
 
-func scheduled(t *testing.T) (*workload.Workload, *topology.Cluster, constraint.Assignment) {
+// scheduled runs a small trace through a session and returns it.
+func scheduled(t *testing.T) (*workload.Workload, *topology.Cluster, *core.Session) {
 	t.Helper()
 	w := trace.MustGenerate(trace.Scaled(42, 400))
 	cl := topology.New(topology.Config{
 		Machines: 96, MachinesPerRack: 8, RacksPerCluster: 4,
 		Capacity: resource.Cores(32, 64*1024),
 	})
-	res, err := core.NewDefault().Schedule(w, cl, w.Arrange(workload.OrderSubmission))
-	if err != nil {
+	s := core.NewSession(core.DefaultOptions(), w, cl)
+	if _, err := s.Place(w.Arrange(workload.OrderSubmission)); err != nil {
 		t.Fatal(err)
 	}
-	return w, cl, res.Assignment
+	return w, cl, s
 }
 
+// TestCaptureRestoreRoundTrip: a captured session restores onto a
+// cluster with the same layout — identical rack and sub-cluster
+// boundaries, not defaults — and the same placements and resource
+// state.
 func TestCaptureRestoreRoundTrip(t *testing.T) {
-	w, cl, asg := scheduled(t)
-	snap, err := Capture(cl, asg)
+	w, cl, s := scheduled(t)
+	snap, err := CaptureSession(s)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,17 +41,26 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 	if err := snap.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Read(&buf)
+	back, err := ReadSession(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl2, asg2, err := back.Restore(w)
+	restored, cl2, err := back.Restore(core.DefaultOptions(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl2.Size() != cl.Size() {
-		t.Errorf("size %d != %d", cl2.Size(), cl.Size())
+	if got, want := cl2.Racks(), cl.Racks(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("rack set diverged: %v != %v", got, want)
 	}
+	for _, r := range cl.Racks() {
+		if got, want := cl2.Rack(r).Machines, cl.Rack(r).Machines; !reflect.DeepEqual(got, want) {
+			t.Fatalf("rack %s machines diverged: %v != %v", r, got, want)
+		}
+	}
+	if got, want := cl2.SubClusters(), cl.SubClusters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("sub-cluster set diverged: %v != %v", got, want)
+	}
+	asg, asg2 := s.Assignment(), restored.Assignment()
 	if len(asg2) != len(asg) {
 		t.Fatalf("assignment size %d != %d", len(asg2), len(asg))
 	}
@@ -59,81 +72,35 @@ func TestCaptureRestoreRoundTrip(t *testing.T) {
 			t.Fatalf("restored machine %d does not host %s", m, id)
 		}
 	}
-	// Resource state identical.
 	if cl2.TotalUsed() != cl.TotalUsed() {
 		t.Errorf("TotalUsed %v != %v", cl2.TotalUsed(), cl.TotalUsed())
 	}
 	if cl2.UsedMachines() != cl.UsedMachines() {
 		t.Errorf("UsedMachines %d != %d", cl2.UsedMachines(), cl.UsedMachines())
 	}
-	// Restored state continues to schedule: place one more batch via
-	// a session.
-	s := core.NewSession(core.DefaultOptions(), w, cl2)
-	_ = s
 }
 
-func TestCaptureValidation(t *testing.T) {
-	_, cl, asg := scheduled(t)
-	// Unknown machine.
-	bad := constraint.Assignment{"x": 9999}
-	if _, err := Capture(cl, bad); err == nil {
-		t.Error("unknown machine should fail")
-	}
-	// Machine exists but does not host the container.
-	bad2 := constraint.Assignment{"ghost/0": 0}
-	if _, err := Capture(cl, bad2); err == nil {
-		t.Error("unhosted container should fail")
-	}
-	// Empty cluster.
-	if _, err := Capture(topology.New(topology.Config{}), asg); err == nil {
-		t.Error("empty cluster should fail")
-	}
-	// Heterogeneous cluster rejected by v1 format.
-	het, err := topology.NewHeterogeneous(topology.HeteroConfig{
-		Classes: []topology.MachineClass{
-			{Name: "a", Count: 1, Capacity: resource.Cores(32, 65536)},
-			{Name: "b", Count: 1, Capacity: resource.Cores(16, 32768)},
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := Capture(het, constraint.Assignment{}); err == nil {
-		t.Error("heterogeneous cluster should be rejected by v1")
-	}
-}
-
-func TestReadValidation(t *testing.T) {
-	cases := []string{
-		``,
-		`{"version": 99, "machines": 1}`,
-		`{"version": 1, "machines": 0}`,
-		`{"version": 1, "machines": 1, "unknown_field": true}`,
-	}
-	for _, in := range cases {
-		if _, err := Read(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q should fail", in)
-		}
-	}
-}
-
+// TestRestoreValidation: a snapshot restored against a different
+// workload universe, or naming a machine the snapshot lacks, fails.
 func TestRestoreValidation(t *testing.T) {
-	w, cl, asg := scheduled(t)
-	snap, err := Capture(cl, asg)
+	w, _, s := scheduled(t)
+	snap, err := CaptureSession(s)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Restoring against a mismatched workload fails.
+	if len(snap.Placements) == 0 {
+		t.Fatal("fixture placed nothing")
+	}
 	other := workload.MustNew([]*workload.App{
 		{ID: "different", Demand: resource.Cores(1, 1), Replicas: 1},
 	})
-	if _, _, err := snap.Restore(other); err == nil && len(asg) > 0 {
+	if _, _, err := snap.Restore(core.DefaultOptions(), other); err == nil {
 		t.Error("mismatched workload should fail restore")
 	}
-	// Machine out of range.
 	snap2 := *snap
-	snap2.Machines = 1
-	if _, _, err := snap2.Restore(w); err == nil && len(asg) > 0 {
+	snap2.Placements = append([]Placement{{Container: snap.Placements[0].Container, Machine: topology.MachineID(len(snap.Machines))}},
+		snap.Placements[1:]...)
+	if _, _, err := snap2.Restore(core.DefaultOptions(), w); err == nil {
 		t.Error("machine out of range should fail restore")
 	}
 }

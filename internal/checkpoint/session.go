@@ -32,9 +32,9 @@ type Layout struct {
 }
 
 // MachineState is one machine's spec in a session snapshot:
-// identity, topology position, capacity, and availability.  Unlike
-// the v1 format, capacities are per-machine (heterogeneous clusters
-// checkpoint losslessly) and down machines are recorded.
+// identity, topology position, capacity, and availability.
+// Capacities are per-machine, so heterogeneous clusters checkpoint
+// losslessly, and down machines are recorded.
 type MachineState struct {
 	Name    string `json:"name"`
 	Rack    string `json:"rack"`
@@ -93,21 +93,23 @@ type SessionSnapshot struct {
 
 // CaptureSession snapshots a live session: topology (including down
 // machines and heterogeneous capacities), placements, and the
-// undeployed/requeue ledgers.
+// undeployed/requeue ledgers.  Machine state is read from the session,
+// which at any shard count owns the live machines.
 func CaptureSession(s *core.Session) (*SessionSnapshot, error) {
 	cluster := s.Cluster()
 	if cluster.Size() == 0 {
 		return nil, fmt.Errorf("checkpoint: empty cluster")
 	}
 	snap := &SessionSnapshot{Version: SessionFormatVersion}
-	for _, sp := range cluster.Specs() {
+	for i := 0; i < cluster.Size(); i++ {
+		m := s.Machine(topology.MachineID(i))
 		snap.Machines = append(snap.Machines, MachineState{
-			Name:     sp.Name,
-			Rack:     sp.Rack,
-			Cluster:  sp.Cluster,
-			CPUMilli: sp.Capacity.CPUMilli,
-			MemMB:    sp.Capacity.MemMB,
-			Down:     sp.Down,
+			Name:     m.Name,
+			Rack:     m.Rack,
+			Cluster:  m.Cluster,
+			CPUMilli: m.Capacity().CPUMilli,
+			MemMB:    m.Capacity().MemMB,
+			Down:     !m.Up(),
 		})
 	}
 	for _, rname := range cluster.Racks() {
@@ -123,7 +125,7 @@ func CaptureSession(s *core.Session) (*SessionSnapshot, error) {
 
 	st := s.ExportState()
 	for id, machine := range st.Assignment {
-		m := cluster.Machine(machine)
+		m := s.Machine(machine)
 		if m == nil {
 			return nil, fmt.Errorf("checkpoint: assignment references unknown machine %d", machine)
 		}
@@ -335,8 +337,9 @@ func ReadSession(r io.Reader) (*SessionSnapshot, error) {
 // Restore rebuilds a live session from the snapshot: topology via
 // FromSpecs (heterogeneous capacities, down machines marked before
 // any replay), then core.RestoreSession replaying every placement
-// through the scheduler's own place path.  The workload must be the
-// universe the snapshot was captured from.
+// through the scheduler's own place path — into its owning shard when
+// opts.Shards > 1.  The workload must be the universe the snapshot was
+// captured from.
 func (s *SessionSnapshot) Restore(opts core.Options, w *workload.Workload) (*core.Session, *topology.Cluster, error) {
 	specs := make([]topology.MachineSpec, len(s.Machines))
 	for i, m := range s.Machines {

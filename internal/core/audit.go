@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"aladdin/internal/constraint"
 	"aladdin/internal/resource"
@@ -87,11 +88,6 @@ type Auditor struct {
 	opts Options
 	w    *workload.Workload
 	r    *run
-}
-
-// NewAuditor builds an auditor over a session's live state.
-func NewAuditor(s *Session) *Auditor {
-	return &Auditor{opts: s.opts, w: s.w, r: s.r}
 }
 
 // Check runs every audit and returns the violations found, grouped in
@@ -281,17 +277,55 @@ func (a *Auditor) checkPreemptions() []AuditViolation {
 	return out
 }
 
-// AuditInvariants runs the full runtime Auditor over the session: flow
-// conservation per tier, index/aggregate consistency, assignment
-// cross-checks, anti-affinity, and preemption priority ordering.  It
-// subsumes Audit (which covers anti-affinity only) and is meant for
-// scheduling-round boundaries, failure-injection loops and fuzzing.
+// AuditInvariants runs the full runtime Auditor over every shard —
+// flow conservation per tier, index/aggregate consistency, assignment
+// cross-checks, anti-affinity, and preemption priority ordering — and
+// then cross-checks the session's own tables: each container the
+// ledger calls placed must be live on exactly the shard the ownership
+// table names, and on no other.  At K>1 results carry a "shard k:"
+// prefix so a violation localises immediately.  It subsumes Audit
+// (which covers anti-affinity only) and is meant for scheduling-round
+// boundaries, failure-injection loops and fuzzing; under concurrent
+// load, run it quiesced.
 func (s *Session) AuditInvariants() []AuditViolation {
-	if !s.r.met.on {
-		return NewAuditor(s).Check()
+	var start time.Time
+	if s.met.on {
+		start = s.opts.now()
 	}
-	start := s.opts.now()
-	out := NewAuditor(s).Check()
-	s.r.met.auditLat.Observe(s.opts.now().Sub(start).Microseconds())
+	var out []AuditViolation
+	for k, sh := range s.shards {
+		sh.mu.Lock()
+		vs := (&Auditor{opts: s.opts, w: s.w, r: sh.r}).Check()
+		sh.mu.Unlock()
+		for _, v := range vs {
+			if len(s.shards) > 1 {
+				v.Detail = fmt.Sprintf("shard %d: %s", k, v.Detail)
+			}
+			out = append(out, v)
+		}
+	}
+	containers := s.w.Containers()
+	s.mu.Lock()
+	ledger := append([]uint8(nil), s.ledger...)
+	shardOf := append([]int32(nil), s.shardOf...)
+	s.mu.Unlock()
+	for k, sh := range s.shards {
+		sh.mu.Lock()
+		for _, c := range containers {
+			got := sh.r.asg[c.Ord] != topology.Invalid
+			want := ledger[c.Ord] == ledgerPlaced && shardOf[c.Ord] == sh.k
+			if got != want {
+				out = append(out, AuditViolation{
+					Kind: AuditAssignmentDrift,
+					Detail: fmt.Sprintf("shard %d: container %s: shard placed=%v, session ledger=%d ownership=%d",
+						k, c.ID, got, ledger[c.Ord], shardOf[c.Ord]),
+				})
+			}
+		}
+		sh.mu.Unlock()
+	}
+	if s.met.on {
+		s.met.auditLat.Observe(s.opts.now().Sub(start).Microseconds())
+	}
 	return out
 }

@@ -92,11 +92,11 @@ type Options struct {
 	Tracer *obs.Tracer
 	// Shards splits the scheduler core along sub-cluster boundaries
 	// into this many independently-locked shards, each with its own
-	// flow network, tournament subtree and scratch arena (see
-	// NewSharded).  Values ≤ 1 mean the single unsharded core; the
-	// count is clamped to the number of sub-clusters.  Plain
-	// NewSession ignores the field — sharding is opted into by
-	// constructing a ShardedSession.
+	// flow network, tournament subtree and IL cache (see NewSharded).
+	// Values ≤ 1 mean the single unsharded core; the count is clamped
+	// to the number of sub-clusters.  NewSession ignores the field —
+	// sharding is opted into by constructing the session with
+	// NewSharded (RestoreSession honours it).
 	Shards int
 	// SequentialShards forces the sharded core to run its per-shard
 	// placement queues one at a time in shard order instead of on one
@@ -106,14 +106,6 @@ type Options struct {
 	// cross-checking oracle for the equivalence fuzz and for
 	// single-stepping in a debugger.
 	SequentialShards bool
-	// LeanPlaceResult omits the per-batch Assignment map from Place
-	// results: high-throughput drivers (the simulator's bench loop)
-	// never read it — they consume the session-wide Assignment or the
-	// ordinal-keyed AssignedOrd instead — and building an ID-keyed
-	// map per batch is the single largest serial cost of a sharded
-	// placement pass.  Everything else in the Result (Undeployed,
-	// counters, timings) is unaffected.
-	LeanPlaceResult bool
 	// GangScheduling makes application placement all-or-nothing: if
 	// any container of an application cannot be placed, the whole
 	// application is rolled back and undeployed.  Container groups of

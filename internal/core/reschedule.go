@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"aladdin/internal/resource"
@@ -75,8 +74,8 @@ type PackingStats struct {
 	Stranded int `json:"stranded"`
 }
 
-// packingAccum folds one or more clusters (the sharded session owns a
-// cluster per shard) into a PackingStats.
+// packingAccum folds one or more clusters (a session owns a cluster
+// per shard) into a PackingStats.
 type packingAccum struct {
 	ps      PackingStats
 	utilSum float64
@@ -123,69 +122,48 @@ func (a *packingAccum) finish(stranded int) PackingStats {
 	return a.ps
 }
 
-// PackingStats summarises the session's current placement quality.
+// PackingStats summarises the session's current placement quality
+// across its shard clusters.
 func (s *Session) PackingStats() PackingStats {
 	var a packingAccum
-	a.add(s.cluster)
+	for _, sh := range s.shards {
+		sh.mu.Lock()
+		a.add(sh.cluster)
+		sh.mu.Unlock()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	return a.finish(s.strandedN)
 }
 
-// ConsolidateN runs the machine-draining consolidation pass with a
-// per-call move budget: at most budget containers relocate (0 =
-// unlimited).  Result.More reports whether drain work remained; a
-// later call resumes it, so interleaving callers (the rebalancer, the
-// HTTP handler) can spread a full sweep across cycles without ever
-// holding the session for an unbounded pass.  A non-nil error is a
-// CorruptionError: a drain's rollback failed and the session state
-// can no longer be trusted.
-func (s *Session) ConsolidateN(budget int) (ConsolidateResult, error) {
-	moves, more, err := s.r.consolidateBudget(budget)
-	return ConsolidateResult{Moves: moves, More: more}, err
-}
-
 // RetryStranded re-submits every failure-stranded container through
-// the shared placement pipeline in priority order (highest first),
-// spending at most budget rescue moves — migrations plus preemption
-// evictions; direct placements are free (0 = unlimited).  Containers
-// that still fit nowhere stay stranded for the next sweep.
+// the placement pipeline as one priority-ordered queue (highest
+// first, like FailMachine's re-placement), spending at most budget
+// rescue moves — migrations plus preemption evictions; direct
+// placements are free (0 = unlimited).  At K>1 the queue is routed
+// and spilled like a Place batch, with the shards run in order so one
+// budget threads through all of them.  Containers that still fit
+// nowhere — and collateral victims the sweep preempts — stay stranded
+// for the next sweep.
 func (s *Session) RetryStranded(budget int) (*RetryResult, error) {
-	res := &RetryResult{}
-	if s.strandedN == 0 {
+	// Holding placeMu from the ledger scan on keeps concurrent Place
+	// calls from claiming a queued container first.
+	s.placeMu.Lock()
+	defer s.placeMu.Unlock()
+	queue := s.strandedQueue()
+	res := &RetryResult{Retried: len(queue)}
+	if len(queue) == 0 {
 		return res, nil
 	}
-	r := s.r
-	cs := s.w.Containers()
-	queue := make([]*workload.Container, 0, s.strandedN)
-	for ord, st := range s.ledger {
-		if st == ledgerStranded {
-			queue = append(queue, cs[ord])
-		}
+	pr, err := s.placeLocked(queue, budget, ledgerStranded)
+	if pr == nil {
+		return res, err
 	}
-	// Highest priority first, exactly like FailMachine's re-placement:
-	// scarce capacity goes to the containers whose weighted flows
-	// dominate.
-	sort.Slice(queue, func(i, j int) bool {
-		if queue[i].Priority != queue[j].Priority {
-			return queue[i].Priority > queue[j].Priority
-		}
-		return queue[i].Ord < queue[j].Ord
-	})
-	res.Retried = len(queue)
-	migBefore, preBefore := r.migrations, r.preempts
-	r.setMoveBudget(budget)
-	undep, err := s.placeQueue(queue, nil)
-	r.setMoveBudget(0)
-	res.Migrations = r.migrations - migBefore
-	res.Preemptions = r.preempts - preBefore
-	// Whatever the sweep left undeployed — retried containers that
-	// still fit nowhere and collateral preemption victims alike —
-	// stays stranded so the next sweep picks it up.
-	for _, cid := range undep {
-		if c := r.byID[cid]; c != nil && s.ledger[c.Ord] == ledgerUndeployed {
-			s.setLedger(c.Ord, ledgerStranded)
-		}
-	}
-	for _, c := range queue[:res.Retried] {
+	res.Migrations = pr.Migrations
+	res.Preemptions = pr.Preemptions
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, c := range queue {
 		if s.ledger[c.Ord] == ledgerPlaced {
 			res.Replaced = append(res.Replaced, c.ID)
 		}
@@ -193,14 +171,34 @@ func (s *Session) RetryStranded(budget int) (*RetryResult, error) {
 	return res, err
 }
 
+// strandedQueue lists the failure-stranded containers in retry order.
+func (s *Session) strandedQueue() []*workload.Container {
+	cs := s.w.Containers()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.strandedN == 0 {
+		return nil
+	}
+	queue := make([]*workload.Container, 0, s.strandedN)
+	for ord, st := range s.ledger {
+		if st == ledgerStranded {
+			queue = append(queue, cs[ord])
+		}
+	}
+	sortByPriority(queue)
+	return queue
+}
+
 // StrandedIDs lists the failure-stranded containers in workload
 // ordinal order.  The slice is freshly allocated; callers may keep it.
 func (s *Session) StrandedIDs() []string {
+	cs := s.w.Containers()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.strandedN == 0 {
 		return nil
 	}
 	out := make([]string, 0, s.strandedN)
-	cs := s.w.Containers()
 	for ord, st := range s.ledger {
 		if st == ledgerStranded {
 			out = append(out, cs[ord].ID)
@@ -215,10 +213,12 @@ func (s *Session) StrandedIDs() []string {
 // an error (use Remove); forgetting a container that is not stranded
 // is a no-op.
 func (s *Session) Forget(containerID string) error {
-	c := s.r.byID[containerID]
+	c := s.byID[containerID]
 	if c == nil {
 		return fmt.Errorf("core: session: unknown container %s", containerID)
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.ledger[c.Ord] == ledgerPlaced {
 		return fmt.Errorf("core: session: container %s is placed; use Remove", containerID)
 	}

@@ -58,18 +58,20 @@ func (s *Session) Workload() *workload.Workload { return s.w }
 // Options returns the options the session was built with.
 func (s *Session) Options() Options { return s.opts }
 
-// ExportState captures the session's portable state.  The returned
-// value shares nothing with the session; it stays valid across
-// subsequent scheduling.
+// ExportState captures the session's portable state in the session's
+// machine ids.  The returned value shares nothing with the session; it
+// stays valid across subsequent scheduling.
 func (s *Session) ExportState() *SessionState {
 	st := &SessionState{
 		Assignment: make(constraint.Assignment),
 		Requeues:   make(map[string]int),
 	}
-	for id, m := range s.r.assignmentMap() {
+	for id, m := range s.Assignment() {
 		st.Assignment[id] = m
 	}
-	for _, c := range s.w.Containers() {
+	cs := s.w.Containers()
+	s.mu.Lock()
+	for _, c := range cs {
 		// Stranded is an undeployed sub-state: such containers appear
 		// in Undeployed (the complete not-placed ledger) and again in
 		// Stranded so a restored session keeps auto-retrying them.
@@ -80,15 +82,31 @@ func (s *Session) ExportState() *SessionState {
 			st.Undeployed = append(st.Undeployed, c.ID)
 			st.Stranded = append(st.Stranded, c.ID)
 		}
+	}
+	s.mu.Unlock()
+	sort.Strings(st.Undeployed)
+	sort.Strings(st.Stranded)
+	// The shard runs share one requeue ledger.
+	s.shards[0].mu.Lock()
+	for _, c := range s.w.Containers() {
 		if n := s.r.requeues[c.Ord]; n > 0 {
 			st.Requeues[c.ID] = n
 		}
 	}
-	sort.Strings(st.Undeployed)
-	sort.Strings(st.Stranded)
+	s.shards[0].mu.Unlock()
+	// The IL cache is per shard, so an app is captured as proven
+	// unplaceable only when every shard holds the proof — a proof
+	// restored onto a shard that never made it could skip a feasible
+	// placement.
 	if s.opts.IsomorphismLimiting {
 		for ao, a := range s.w.Apps() {
-			if s.r.search.il.valid(ao) {
+			proven := true
+			for _, sh := range s.shards {
+				sh.mu.Lock()
+				proven = proven && sh.r.search.il.valid(ao)
+				sh.mu.Unlock()
+			}
+			if proven {
 				st.ILFailed = append(st.ILFailed, a.ID)
 			}
 		}
@@ -101,12 +119,13 @@ func (s *Session) ExportState() *SessionState {
 // the cluster must be a fresh (allocation-free) topology — typically
 // topology.FromSpecs over the snapshot's machine specs, with failed
 // machines already marked down — and the workload must be the same
-// universe the state was captured from.  Every placement is replayed
-// through the scheduler's single place path, so the flow network,
-// blacklists, tournament-tree index and aggregates are rebuilt
-// exactly as live scheduling would have left them; a restored session
-// and a never-restarted one given the same subsequent batches produce
-// identical assignments.
+// universe the state was captured from.  opts.Shards > 1 restores a
+// sharded session (NewSharded over the cluster).  Every placement is
+// replayed into its owning shard through the scheduler's single place
+// path, so the flow networks, blacklists, tournament-tree indexes and
+// aggregates are rebuilt exactly as live scheduling would have left
+// them; a restored session and a never-restarted one given the same
+// subsequent batches produce identical assignments.
 //
 // Restore is strict: unknown containers, machines out of range or
 // down, double placements, and containers listed both placed and
@@ -120,8 +139,15 @@ func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluste
 	if opts.Metrics != nil {
 		start = opts.now()
 	}
-	s := NewSession(opts, w, cluster)
-	r := s.r
+	var s *Session
+	if opts.Shards > 1 {
+		var err error
+		if s, err = NewSharded(opts, w, cluster); err != nil {
+			return nil, fmt.Errorf("core: restore: %w", err)
+		}
+	} else {
+		s = NewSession(opts, w, cluster)
+	}
 
 	// Deterministic replay in workload (ordinal) order.  The final
 	// state is order-independent — flows, blacklist sets and aggregates
@@ -132,28 +158,29 @@ func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluste
 		if !ok {
 			continue
 		}
-		machine := cluster.Machine(m)
-		if machine == nil {
+		sh, lid, err := s.locate(m)
+		if err != nil {
 			return nil, fmt.Errorf("core: restore: container %s assigned to unknown machine %d", c.ID, m)
 		}
-		if !machine.Up() {
+		if machine := sh.cluster.Machine(lid); !machine.Up() {
 			return nil, fmt.Errorf("core: restore: container %s assigned to down machine %s", c.ID, machine.Name)
 		}
-		if err := r.place(c, m); err != nil {
+		if err := sh.r.place(c, lid); err != nil {
 			return nil, fmt.Errorf("core: restore: %w", err)
 		}
 		s.ledger[c.Ord] = ledgerPlaced
+		s.shardOf[c.Ord] = sh.k
 	}
 	// Pure validation sweep: which offending container the error names
 	// may vary with map order, but whether an error is returned cannot.
 	//aladdin:nondeterministic-ok error-path-only selection
 	for id := range st.Assignment {
-		if r.byID[id] == nil {
+		if s.byID[id] == nil {
 			return nil, fmt.Errorf("core: restore: container %s not in workload universe", id)
 		}
 	}
 	for _, id := range st.Undeployed {
-		c := r.byID[id]
+		c := s.byID[id]
 		if c == nil {
 			return nil, fmt.Errorf("core: restore: undeployed container %s not in workload universe", id)
 		}
@@ -163,7 +190,7 @@ func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluste
 		s.ledger[c.Ord] = ledgerUndeployed
 	}
 	for _, id := range st.Stranded {
-		c := r.byID[id]
+		c := s.byID[id]
 		if c == nil {
 			return nil, fmt.Errorf("core: restore: stranded container %s not in workload universe", id)
 		}
@@ -176,14 +203,14 @@ func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluste
 	// names may vary with map order but not whether one is returned.
 	//aladdin:nondeterministic-ok commutative writes, error-path-only selection
 	for id, n := range st.Requeues {
-		c := r.byID[id]
+		c := s.byID[id]
 		if c == nil {
 			return nil, fmt.Errorf("core: restore: requeue ledger references unknown container %s", id)
 		}
 		if n < 0 {
 			return nil, fmt.Errorf("core: restore: container %s has negative requeue count %d", id, n)
 		}
-		r.requeues[c.Ord] = n
+		s.r.requeues[c.Ord] = n
 	}
 	// Warm the IL cache last: the replay above never released capacity
 	// (place only), so the captured unplaceability proofs still hold at
@@ -191,16 +218,18 @@ func RestoreSession(opts Options, w *workload.Workload, cluster *topology.Cluste
 	// configuration runs without IL — the memo would never be read.
 	if opts.IsomorphismLimiting {
 		for _, appID := range st.ILFailed {
-			ref := r.blacklist.Ref(appID)
+			ref := s.r.blacklist.Ref(appID)
 			if ref == constraint.NoApp {
 				return nil, fmt.Errorf("core: restore: IL cache references unknown app %s", appID)
 			}
-			r.search.il.note(ref)
+			for _, sh := range s.shards {
+				sh.r.search.il.note(ref)
+			}
 		}
 	}
-	if r.met.on {
-		r.met.restoreLat.Observe(opts.now().Sub(start).Microseconds())
-		r.met.restores.Inc()
+	if s.met.on {
+		s.met.restoreLat.Observe(opts.now().Sub(start).Microseconds())
+		s.met.restores.Inc()
 	}
 	return s, nil
 }

@@ -25,9 +25,9 @@ import (
 	"aladdin/internal/obs"
 )
 
-// Target is the scheduling session a Rebalancer manages.  Both
-// *core.Session and *core.ShardedSession satisfy it; servers wrap
-// their tenant locking around one.
+// Target is the scheduling session a Rebalancer manages.
+// *core.Session satisfies it at any shard count; servers wrap their
+// tenant locking around one.
 type Target interface {
 	// PackingStats summarises current placement quality; the
 	// rebalancer reads it to decide whether a cycle is worth running.

@@ -293,7 +293,7 @@ func (t *Tenant) placeCoalesced(calls []*placeCall) {
 	}
 	sort.Slice(merged, func(i, j int) bool { return merged[i].Ord < merged[j].Ord })
 
-	res, err := t.sched.Place(merged)
+	res, err := t.sess.Place(merged)
 	t.met.batches.Inc()
 	t.met.batchSize.Observe(int64(len(merged)))
 
@@ -364,7 +364,7 @@ func (t *Tenant) validateCall(c *placeCall, queued map[string]bool) (*placeReply
 			return &placeReply{status: 400, plain: fmt.Sprintf("unknown container %q", id)}, nil
 		case mine[id]:
 			return &placeReply{status: 409, plain: fmt.Sprintf("duplicate container %q in request", id)}, nil
-		case t.sched.Placed(id):
+		case t.sess.Placed(id):
 			return &placeReply{status: 409, plain: fmt.Sprintf("container %q is already placed", id)}, nil
 		case queued[id]:
 			return &placeReply{status: 409, plain: fmt.Sprintf("container %q already submitted by a concurrent request", id)}, nil

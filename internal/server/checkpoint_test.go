@@ -80,7 +80,7 @@ func TestCheckpointRestoreHandlers(t *testing.T) {
 	if rr.Machines != 4 || rr.Placed != 3 {
 		t.Fatalf("restore summary = %+v", rr)
 	}
-	if s2.def.cluster.Machine(3).Up() {
+	if s2.def.sess.Machine(3).Up() {
 		t.Fatal("machine 3 should restore down")
 	}
 
@@ -90,9 +90,9 @@ func TestCheckpointRestoreHandlers(t *testing.T) {
 			t.Fatalf("post-restore place = %d: %s", rec.Code, rec.Body)
 		}
 	}
-	if !reflect.DeepEqual(s.def.sched.Assignment(), s2.def.sched.Assignment()) {
+	if !reflect.DeepEqual(s.def.sess.Assignment(), s2.def.sess.Assignment()) {
 		t.Fatalf("assignments diverged:\n original: %v\n restored: %v",
-			s.def.sched.Assignment(), s2.def.sched.Assignment())
+			s.def.sess.Assignment(), s2.def.sess.Assignment())
 	}
 	if rec := do(t, s2, http.MethodGet, "/healthz", ""); rec.Code != http.StatusOK {
 		t.Fatalf("restored server unhealthy: %s", rec.Body)
@@ -118,7 +118,7 @@ func TestCheckpointInline(t *testing.T) {
 	if rec := do(t, s2, http.MethodPost, "/restore", string(body)); rec.Code != http.StatusOK {
 		t.Fatalf("inline restore = %d: %s", rec.Code, rec.Body)
 	}
-	if !reflect.DeepEqual(s.def.sched.Assignment(), s2.def.sched.Assignment()) {
+	if !reflect.DeepEqual(s.def.sess.Assignment(), s2.def.sess.Assignment()) {
 		t.Fatal("inline round-trip diverged")
 	}
 }

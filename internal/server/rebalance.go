@@ -27,19 +27,19 @@ type rebalanceTarget struct{ t *Tenant }
 func (rt rebalanceTarget) PackingStats() core.PackingStats {
 	rt.t.mu.RLock()
 	defer rt.t.mu.RUnlock()
-	return rt.t.sched.PackingStats()
+	return rt.t.sess.PackingStats()
 }
 
 func (rt rebalanceTarget) ConsolidateN(budget int) (core.ConsolidateResult, error) {
 	rt.t.mu.Lock()
 	defer rt.t.unlockAfterWrite()
-	return rt.t.sched.ConsolidateN(budget)
+	return rt.t.sess.ConsolidateN(budget)
 }
 
 func (rt rebalanceTarget) RetryStranded(budget int) (*core.RetryResult, error) {
 	rt.t.mu.Lock()
 	defer rt.t.unlockAfterWrite()
-	return rt.t.sched.RetryStranded(budget)
+	return rt.t.sess.RetryStranded(budget)
 }
 
 // The audits mutate lazily-built caches (sorted container IDs), so
@@ -48,13 +48,13 @@ func (rt rebalanceTarget) RetryStranded(budget int) (*core.RetryResult, error) {
 func (rt rebalanceTarget) AuditInvariants() []core.AuditViolation {
 	rt.t.mu.Lock()
 	defer rt.t.mu.Unlock()
-	return rt.t.sched.AuditInvariants()
+	return rt.t.sess.AuditInvariants()
 }
 
 func (rt rebalanceTarget) FlowConservation() error {
 	rt.t.mu.Lock()
 	defer rt.t.mu.Unlock()
-	return rt.t.sched.FlowConservation()
+	return rt.t.sess.FlowConservation()
 }
 
 // rebalancer lazily builds the tenant's Rebalancer.  The instance is
@@ -70,7 +70,7 @@ func (t *Tenant) rebalancer(reg *obs.Registry) *rebalance.Rebalancer {
 			cfg.Metrics = reg
 			cfg.MetricLabels = obs.Labels{"tenant": t.name}
 		}
-		t.rb = rebalance.New(rebalanceTarget{t}, cfg)
+		t.rb = rebalance.New(t.resched, cfg)
 	}
 	return t.rb
 }
@@ -150,9 +150,7 @@ func (s *Server) handleConsolidate(w http.ResponseWriter, r *http.Request, t *Te
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	t.mu.Lock()
-	res, err := t.sched.ConsolidateN(req.Budget)
-	t.unlockAfterWrite()
+	res, err := t.resched.ConsolidateN(req.Budget)
 	if err != nil {
 		http.Error(w, err.Error(), schedulerErrorStatus(err))
 		return

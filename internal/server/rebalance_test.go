@@ -6,11 +6,9 @@ import (
 	"net/http"
 	"testing"
 
-	"aladdin/internal/constraint"
 	"aladdin/internal/core"
 	"aladdin/internal/rebalance"
 	"aladdin/internal/resource"
-	"aladdin/internal/sched"
 	"aladdin/internal/topology"
 	"aladdin/internal/workload"
 )
@@ -190,47 +188,33 @@ func TestConsolidateShardedTenant(t *testing.T) {
 	}
 }
 
-// corruptSched wraps a healthy in-memory state but fails the
-// continuous-rescheduling surface with state corruption — the error
-// class the HTTP layer must map to 500, not 409.
-type corruptSched struct {
-	w *workload.Workload
-}
+// corruptTarget fails the continuous-rescheduling surface with state
+// corruption — the error class the HTTP layer must map to 500, not
+// 409.
+type corruptTarget struct{}
 
-func (c corruptSched) Place([]*workload.Container) (*sched.Result, error) {
-	return nil, fmt.Errorf("corrupt")
-}
-func (c corruptSched) Remove(string) error { return fmt.Errorf("corrupt") }
-func (c corruptSched) FailMachine(topology.MachineID) (*core.FailureResult, error) {
-	return nil, fmt.Errorf("corrupt")
-}
-func (c corruptSched) RecoverMachine(topology.MachineID) (*core.RecoverResult, error) {
-	return nil, fmt.Errorf("corrupt")
-}
-func (c corruptSched) Assignment() constraint.Assignment      { return nil }
-func (c corruptSched) Placed(string) bool                     { return false }
-func (c corruptSched) Audit() []constraint.Violation          { return nil }
-func (c corruptSched) FlowConservation() error                { return nil }
-func (c corruptSched) AuditInvariants() []core.AuditViolation { return nil }
-func (c corruptSched) PackingStats() core.PackingStats {
+func (corruptTarget) PackingStats() core.PackingStats {
 	return core.PackingStats{Stranded: 1}
 }
-func (c corruptSched) ConsolidateN(int) (core.ConsolidateResult, error) {
+func (corruptTarget) ConsolidateN(int) (core.ConsolidateResult, error) {
 	return core.ConsolidateResult{}, fmt.Errorf("drain: %w", core.ErrStateCorruption)
 }
-func (c corruptSched) RetryStranded(int) (*core.RetryResult, error) {
+func (corruptTarget) RetryStranded(int) (*core.RetryResult, error) {
 	return nil, fmt.Errorf("retry: %w", core.ErrStateCorruption)
 }
+func (corruptTarget) AuditInvariants() []core.AuditViolation { return nil }
+func (corruptTarget) FlowConservation() error                { return nil }
 
-// TestConsolidateCorruptionStatus injects a Sched whose rescheduling
-// surface reports state corruption: both endpoints must answer 500 —
-// the restore-from-checkpoint signal — never a retryable 409.
+// TestConsolidateCorruptionStatus injects a rescheduling surface that
+// reports state corruption: both endpoints must answer 500 — the
+// restore-from-checkpoint signal — never a retryable 409.
 func TestConsolidateCorruptionStatus(t *testing.T) {
 	s, w := testServer(t)
-	bad := newTenant("bad", corruptSched{w: w}, nil, w, topology.New(topology.Config{
+	bad := newTenant("bad", core.NewSession(core.DefaultOptions(), w, topology.New(topology.Config{
 		Machines: 2, MachinesPerRack: 2, RacksPerCluster: 1,
 		Capacity: resource.Cores(32, 64*1024),
-	}), "", 0, nil)
+	})), "", 0, nil)
+	bad.resched = corruptTarget{}
 	s.mu.Lock()
 	s.tenants["bad"] = bad
 	s.mu.Unlock()

@@ -8,36 +8,13 @@ import (
 	"strings"
 	"sync"
 
-	"aladdin/internal/constraint"
 	"aladdin/internal/core"
 	"aladdin/internal/obs"
 	"aladdin/internal/rebalance"
-	"aladdin/internal/sched"
 	"aladdin/internal/topology"
 	"aladdin/internal/trace"
 	"aladdin/internal/workload"
 )
-
-// Sched is the scheduling surface a tenant needs from its session.
-// Both core.Session (single-threaded, guarded by the tenant lock) and
-// core.ShardedSession (internally synchronized) satisfy it, so a
-// tenant can opt into the sharded core at creation.
-type Sched interface {
-	Place(batch []*workload.Container) (*sched.Result, error)
-	Remove(containerID string) error
-	FailMachine(id topology.MachineID) (*core.FailureResult, error)
-	RecoverMachine(id topology.MachineID) (*core.RecoverResult, error)
-	Assignment() constraint.Assignment
-	Placed(containerID string) bool
-	Audit() []constraint.Violation
-	FlowConservation() error
-	AuditInvariants() []core.AuditViolation
-	// Continuous-rescheduling surface (the rebalance.Target methods,
-	// plus the consolidate endpoint's direct path).
-	PackingStats() core.PackingStats
-	ConsolidateN(budget int) (core.ConsolidateResult, error)
-	RetryStranded(budget int) (*core.RetryResult, error)
-}
 
 // DefaultTenant is the name of the tenant New builds from its session
 // argument.  The un-prefixed routes (/place, /assignments, …) serve
@@ -78,35 +55,36 @@ func newTenantMetrics(reg *obs.Registry, name string) tenantMetrics {
 }
 
 // Tenant is one named scheduling session: its own workload universe,
-// cluster, session (plain or sharded), checkpoint path, coalescing
-// batcher, and labeled metrics.  Handlers for /t/{tenant}/... resolve
-// a Tenant and operate on it alone, so tenants never contend on each
-// other's locks.
+// session (one shard or several, via TenantSpec.Shards), checkpoint
+// path, coalescing batcher, and labeled metrics.  Every cluster view
+// the handlers serve is read through the session, which owns the live
+// machines.  Handlers for /t/{tenant}/... resolve a Tenant and operate
+// on it alone, so tenants never contend on each other's locks.
 type Tenant struct {
 	name string
 
 	// mu is the session lock, the per-tenant successor of the old
-	// server-wide handler lock: mutating handlers take it exclusively
-	// (a plain core.Session is single-threaded by design; for sharded
-	// sessions it additionally serializes the cached view rebuild in
-	// unlockAfterWrite), read-only handlers share it.  The core's own
-	// locks (placeMu and below) nest strictly inside it; the analyzer
-	// sees only intra-package nesting, so the server-layer levels
-	// (40/42/44) order the registry, batcher and tenant locks among
-	// themselves.
+	// server-wide handler lock: mutating handlers take it exclusively,
+	// read-only handlers share it, so a handler always sees one
+	// consistent session state (and the session's lazily built views
+	// are rebuilt only under the exclusive lock, in unlockAfterWrite).
+	// The core's own locks (placeMu and below) nest strictly inside it;
+	// the analyzer sees only intra-package nesting, so the server-layer
+	// levels (40/42/44) order the registry, batcher and tenant locks
+	// among themselves.
 	//
 	//aladdin:lock-level 44 per-tenant session lock; innermost server-layer lock, never held while acquiring the registry or batcher locks
-	mu    sync.RWMutex
-	sched Sched
-	// plain is the concrete session when the tenant is unsharded;
-	// checkpoint capture and restore need it (snapshots replay
-	// through a single flow network).  Nil for sharded tenants.
-	plain    *core.Session
+	mu       sync.RWMutex
+	sess     *core.Session
 	w        *workload.Workload
-	cluster  *topology.Cluster
 	byID     map[string]*workload.Container
 	ckptPath string
 	shards   int
+
+	// resched is the rescheduling surface POST /consolidate and the
+	// rebalancer drive: the session behind the tenant lock
+	// (rebalanceTarget).
+	resched rebalance.Target
 
 	bat *batcher
 	met tenantMetrics
@@ -125,22 +103,22 @@ type Tenant struct {
 
 // newTenant wraps an existing session as a tenant and materializes
 // its lazy read views so shared-lock readers never write them.
-func newTenant(name string, sch Sched, plain *core.Session, w *workload.Workload, cluster *topology.Cluster, ckptPath string, shards int, reg *obs.Registry) *Tenant {
+func newTenant(name string, sess *core.Session, ckptPath string, shards int, reg *obs.Registry) *Tenant {
+	w := sess.Workload()
 	t := &Tenant{
 		name:     name,
-		sched:    sch,
-		plain:    plain,
+		sess:     sess,
 		w:        w,
-		cluster:  cluster,
 		byID:     make(map[string]*workload.Container, w.NumContainers()),
 		ckptPath: ckptPath,
 		shards:   shards,
 		met:      newTenantMetrics(reg, name),
 	}
+	t.resched = rebalanceTarget{t}
 	for _, c := range w.Containers() {
 		t.byID[c.ID] = c
 	}
-	t.sched.Assignment()
+	t.sess.Assignment()
 	return t
 }
 
@@ -148,7 +126,7 @@ func newTenant(name string, sch Sched, plain *core.Session, w *workload.Workload
 // view.  Mutating paths call it before releasing the tenant lock;
 // without it two concurrent readers would race to rebuild the map.
 func (t *Tenant) refreshViews() {
-	t.sched.Assignment()
+	t.sess.Assignment()
 }
 
 // unlockAfterWrite releases the write lock after refreshing views —
@@ -176,8 +154,9 @@ type TenantSpec struct {
 	// cluster, so shared universes never contend).
 	Factor int   `json:"factor,omitempty"`
 	Seed   int64 `json:"seed,omitempty"`
-	// Shards, when > 1, backs the tenant with the sharded core
-	// (checkpoint/restore are unsupported there).
+	// Shards, when > 1, splits the tenant's session into that many
+	// shards (core.NewSharded); every endpoint, checkpoint and restore
+	// included, works the same at any shard count.
 	Shards int `json:"shards,omitempty"`
 	// CheckpointPath is the tenant's default snapshot destination.
 	CheckpointPath string `json:"checkpoint_path,omitempty"`
@@ -214,7 +193,7 @@ func (s *Server) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	if exists {
 		return nil, fmt.Errorf("tenant %q already exists", spec.Name)
 	}
-	defSize := def.cluster.Size()
+	defSize := def.sess.Cluster().Size()
 
 	w := def.w
 	if spec.Factor > 0 {
@@ -239,21 +218,16 @@ func (s *Server) CreateTenant(spec TenantSpec) (*Tenant, error) {
 	opts.MetricLabels = obs.Labels{"tenant": spec.Name}
 	opts.Shards = spec.Shards
 
-	var (
-		sch   Sched
-		plain *core.Session
-	)
+	var sess *core.Session
 	if spec.Shards > 1 {
-		ss, err := core.NewSharded(opts, w, cluster)
-		if err != nil {
+		var err error
+		if sess, err = core.NewSharded(opts, w, cluster); err != nil {
 			return nil, fmt.Errorf("tenant %q sharded core: %w", spec.Name, err)
 		}
-		sch = ss
 	} else {
-		plain = core.NewSession(opts, w, cluster)
-		sch = plain
+		sess = core.NewSession(opts, w, cluster)
 	}
-	t := newTenant(spec.Name, sch, plain, w, cluster, spec.CheckpointPath, spec.Shards, s.reg)
+	t := newTenant(spec.Name, sess, spec.CheckpointPath, spec.Shards, s.reg)
 	if s.coalesce.enabled() {
 		t.bat = newBatcher(t, s.coalesce)
 	}
@@ -344,12 +318,16 @@ func (t *Tenant) info() tenantInfo {
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	down := 0
+	for _, cl := range t.sess.ShardClusters() {
+		down += cl.DownMachines()
+	}
 	return tenantInfo{
 		Name:           t.name,
-		Machines:       t.cluster.Size(),
-		MachinesDown:   t.cluster.DownMachines(),
+		Machines:       t.sess.Cluster().Size(),
+		MachinesDown:   down,
 		Containers:     t.w.NumContainers(),
-		Placed:         len(t.sched.Assignment()),
+		Placed:         len(t.sess.Assignment()),
 		QueueDepth:     depth,
 		Coalescing:     t.bat != nil,
 		Shards:         t.shards,

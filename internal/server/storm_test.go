@@ -128,10 +128,10 @@ func TestMultiTenantStorm(t *testing.T) {
 	s.Drain()
 	for _, tn := range s.tenantsSorted() {
 		tn.mu.Lock()
-		if err := tn.sched.FlowConservation(); err != nil {
+		if err := tn.sess.FlowConservation(); err != nil {
 			t.Errorf("tenant %s: flow conservation broken after storm: %v", tn.name, err)
 		}
-		if vs := tn.sched.AuditInvariants(); len(vs) != 0 {
+		if vs := tn.sess.AuditInvariants(); len(vs) != 0 {
 			t.Errorf("tenant %s: %d invariant violations after storm: %v", tn.name, len(vs), vs[0])
 		}
 		tn.mu.Unlock()

@@ -28,18 +28,18 @@ type ShardedConfig struct {
 	Order    workload.ArrivalOrder
 }
 
-// RunSharded executes one simulation through core.ShardedSession and
-// returns the same Metrics as Run, so sharded and unsharded rows land
-// in one table.  It mirrors core.Scheduler.Schedule over the session
+// RunSharded executes one simulation through a core.NewSharded session
+// and returns the same Metrics as Run, so sharded and unsharded rows
+// land in one table.  It mirrors core.Scheduler.Schedule over the session
 // API: the full arrival queue goes in as one batch (each shard runs
 // the complete placement pipeline over its slice, stranded containers
 // spill across shards), then a consolidation pass drains light
 // machines, then containers stranded by fragmentation get one more
 // placement pass over the drained space.
 //
-// Allocations live on the per-shard topology copies — the parent
-// cluster handed to NewSharded stays an empty routing map — so the
-// utilisation statistics aggregate over ShardClusters().  Elapsed
+// Allocations live on the session's shard clusters — at K>1 the
+// parent cluster handed to NewSharded stays an empty routing map — so
+// the utilisation statistics aggregate over ShardClusters().  Elapsed
 // sums the Place batches' critical-path timings and WallElapsed their
 // host wall-clock (see sched.Result); consolidation is bookkeeping
 // outside the timed placement path, as in RunOnline.
@@ -60,12 +60,7 @@ func RunSharded(cfg ShardedConfig) (Metrics, error) {
 		RacksPerCluster: cfg.RacksPerCluster,
 		Capacity:        capacity,
 	})
-	// The simulator never reads per-batch assignment maps (the final
-	// Result is built from the session-wide Assignment below), so the
-	// lean mode keeps ID-map construction out of the timed path.
-	opts := cfg.Opts
-	opts.LeanPlaceResult = true
-	sess, err := core.NewSharded(opts, cfg.Workload, cluster)
+	sess, err := core.NewSharded(cfg.Opts, cfg.Workload, cluster)
 	if err != nil {
 		return Metrics{}, fmt.Errorf("sim: %w", err)
 	}
@@ -114,8 +109,8 @@ func RunSharded(cfg ShardedConfig) (Metrics, error) {
 		}
 	}
 
-	// Integrity gates before reporting: the shard sessions, their flow
-	// networks and the wrapper's ownership tables must agree.
+	// Integrity gates before reporting: the shards, their flow
+	// networks and the session's ownership tables must agree.
 	if vs := sess.AuditInvariants(); len(vs) != 0 {
 		return Metrics{}, fmt.Errorf("sim: %s: invariant violations after run: %v", sess.Name(), vs[0])
 	}
@@ -139,7 +134,7 @@ func RunSharded(cfg ShardedConfig) (Metrics, error) {
 	m := collect(Config{
 		Scheduler: nil, Workload: cfg.Workload, Machines: cfg.Machines, Order: cfg.Order,
 	}, cluster, final)
-	// The parent cluster is empty by design; overwrite the topology
+	// The parent cluster is empty at K>1; overwrite the topology
 	// statistics with the aggregate over the shard clusters.
 	m.UsedMachines, m.Utilization = shardedUtilization(sess.ShardClusters())
 	return m, nil
