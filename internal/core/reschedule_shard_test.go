@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"aladdin/internal/resource"
+	"aladdin/internal/topology"
 	"aladdin/internal/workload"
 )
 
@@ -167,5 +168,50 @@ func TestShardedConcurrentConsolidateRacingPlace(t *testing.T) {
 		if got := s.Placed(c.ID); got == removed {
 			t.Errorf("container %s: placed=%v, want %v", c.ID, got, !removed)
 		}
+	}
+}
+
+// TestShardedRetryStrandedBudget: a budgeted stranded sweep on a
+// 2-shard session never spends more rescue moves than its budget, even
+// when the work spills from a full home shard onto the other shard.
+// Shard 1 fills with high-priority whole-machine containers and shard 0
+// with mid-priority ones; failing two shard-1 machines strands two
+// high-priority containers that only a preemption on shard 0 can
+// re-place.
+func TestShardedRetryStrandedBudget(t *testing.T) {
+	w := workload.MustNew([]*workload.App{
+		{ID: "mid", Demand: resource.Cores(32, 64*1024), Replicas: 8, Priority: workload.PriorityMid},
+		{ID: "hi", Demand: resource.Cores(32, 64*1024), Replicas: 8, Priority: workload.PriorityHigh},
+	})
+	s := newSharded(t, shardedOpts(2, false), w, shardCluster(16))
+	for _, app := range []string{"mid", "hi"} {
+		res, err := s.Place(appContainers(w, app))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Undeployed) != 0 {
+			t.Fatalf("%s left %v undeployed", app, res.Undeployed)
+		}
+	}
+	for _, m := range []topology.MachineID{8, 9} {
+		if _, err := s.FailMachine(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := len(s.StrandedIDs()); got != 2 {
+		t.Fatalf("%d stranded after the failures, want 2", got)
+	}
+	for sweep := 0; sweep < 3; sweep++ {
+		rr, err := s.RetryStranded(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moves := rr.Migrations + rr.Preemptions; moves > 1 {
+			t.Fatalf("sweep %d spent %d moves under a budget of 1: %+v", sweep, moves, rr)
+		}
+		if sweep == 0 && len(rr.Replaced) != 1 {
+			t.Fatalf("first sweep replaced %v, want one high-priority container", rr.Replaced)
+		}
+		mustCleanSharded(t, s, sweep, "budgeted retry")
 	}
 }
