@@ -47,7 +47,6 @@ func main() {
 		noDL      = flag.Bool("no-dl", false, "disable Aladdin depth limiting")
 		naive     = flag.Bool("naive-search", false, "use Aladdin's retained naive machine scan instead of the capacity index")
 		shards    = flag.Int("shards", 0, "run the sharded Aladdin core with N sub-cluster shards (0 = unsharded; clamped to the sub-cluster count)")
-		seqShards = flag.Bool("seq-shards", false, "with -shards, run the shard queues sequentially (byte-identical oracle for the concurrent mode)")
 		explain   = flag.Int("explain", 0, "diagnose up to N undeployed containers after the run")
 		reps      = flag.Int("reps", 1, "repeat the run N times and report the fastest (placements are deterministic; the minimum strips first-touch page-fault and cold-cache noise from the latency figures)")
 		benchOut  = flag.String("bench-out", "", "append a JSON benchmark record to this file")
@@ -118,7 +117,6 @@ func main() {
 		opts.DepthLimiting = !*noDL
 		opts.NaiveSearch = *naive
 		opts.Shards = *shards
-		opts.SequentialShards = *seqShards
 		opts.Metrics = reg
 		scfg := sim.ShardedConfig{Opts: opts, Workload: w, Machines: *machines, Order: order}
 		if m, err = sim.RunSharded(scfg); err != nil {

@@ -105,13 +105,15 @@ type mutexInfo struct {
 // mutexStructs finds the package's named struct types that embed or
 // hold a sync.Mutex/RWMutex field.  Fields whose declaration carries
 // an //aladdin:lock-ok comment are exempt: never tracked, never
-// inferred guarded.
+// inferred guarded.  Alias names are skipped: an alias declares no
+// fields, so keying its struct by the alias name would replace the
+// struct's own exemptions with none.
 func mutexStructs(pass *Pass) map[*types.Named]*mutexInfo {
 	markers := exemptFields(pass)
 	out := make(map[*types.Named]*mutexInfo)
 	for _, name := range pass.Pkg.Scope().Names() {
 		obj, ok := pass.Pkg.Scope().Lookup(name).(*types.TypeName)
-		if !ok {
+		if !ok || obj.IsAlias() {
 			continue
 		}
 		named, ok := obj.Type().(*types.Named)

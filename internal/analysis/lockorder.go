@@ -42,8 +42,9 @@ var lockorderScope = []string{
 // unlock on an early error path.  Function literals are separate lock
 // contexts (they may run on other goroutines), except deferred
 // literals, which stay in the enclosing context.  Unlock-helper
-// functions (the server's unlockAfterWrite) are understood through the
-// released-set summary, deferred or not.
+// functions (a method that releases its receiver's lock on the
+// caller's behalf, as in the testdata/lockorder fixture) are
+// understood through the released-set summary, deferred or not.
 var Lockorder = &Analyzer{
 	Name: "lockorder",
 	Doc: "flags mutex acquisitions violating the //aladdin:lock-level order, double locks, and locks held at return; " +
@@ -122,8 +123,9 @@ func runLockorder(pass *Pass) (any, error) {
 		st.contexts[fn] = st.collectEvents(st.graph.decls[fn])
 	}
 	// Two summary rounds: the first sees no callee effects, the second
-	// folds in helper releases (defer s.unlockAfterWrite()) so such
-	// functions do not read as holding their lock at exit.
+	// folds in helper releases (a deferred call to a method that unlocks
+	// on its caller's behalf) so such functions do not read as holding
+	// their lock at exit.
 	for round := 0; round < 2; round++ {
 		prev := st.summaries
 		st.summaries = make(map[*types.Func]*lockSummary, len(funcs))
@@ -419,7 +421,7 @@ func (st *lockorderState) checkContext(events []loEvent) {
 			}
 			if ev.deferred {
 				// A deferred helper call releases at return, like a
-				// deferred unlock (the server's unlockAfterWrite).
+				// deferred unlock.
 				for i := range held {
 					if sum.releases[held[i].field] {
 						held[i].deferredRelease = true

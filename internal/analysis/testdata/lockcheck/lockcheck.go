@@ -102,3 +102,28 @@ func (g *Gauge) Reset() {
 	}()
 	g.v = 0
 }
+
+// Table's routes field is exempt and read lock-free by Routes.  The
+// alias View names the same struct and carries no field markers of its
+// own; it sorts after Table, so an analyzer that keyed exemptions by
+// every scope name would let View's empty set replace Table's and flag
+// Routes.
+type Table struct {
+	mu     sync.Mutex
+	hits   int
+	routes []string //aladdin:lock-ok immutable after construction
+}
+
+type View = Table
+
+func (t *Table) Lookup(i int) string {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.hits++
+	return t.routes[i]
+}
+
+// Routes reads the exempt field without the lock: no diagnostic.
+func (t *Table) Routes() []string {
+	return t.routes
+}

@@ -72,7 +72,6 @@ func TestAuditorDetectsViolatedBlacklist(t *testing.T) {
 	web := appContainers(w, "web")
 	sibling := placedMachine(t, s, web[1])
 	s.r.asg[web[0].Ord] = sibling
-	s.r.asgMap = nil // drop the cached ID-keyed view
 	vs := s.AuditInvariants()
 	if !hasKind(vs, AuditAntiAffinity) {
 		t.Errorf("no anti-affinity violation in %v", vs)

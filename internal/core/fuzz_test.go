@@ -247,17 +247,17 @@ func FuzzIndexNaiveEquivalence(f *testing.F) {
 		if len(data) > 0 {
 			shards = int(data[len(data)-1])%4 + 1
 		}
-		parOpts, seqOpts := DefaultOptions(), DefaultOptions()
-		parOpts.Shards, seqOpts.Shards = shards, shards
-		seqOpts.SequentialShards = true
-		shardedPar, err := NewSharded(parOpts, sessionWorkload(), shardCluster(32))
+		shardOpts := DefaultOptions()
+		shardOpts.Shards = shards
+		shardedPar, err := NewSharded(shardOpts, sessionWorkload(), shardCluster(32))
 		if err != nil {
 			t.Fatal(err)
 		}
-		shardedSeq, err := NewSharded(seqOpts, sessionWorkload(), shardCluster(32))
+		shardedSeq, err := NewSharded(shardOpts, sessionWorkload(), shardCluster(32))
 		if err != nil {
 			t.Fatal(err)
 		}
+		shardedSeq.sequential = true
 		shardedMachines := 32
 
 		for i, b := range data {

@@ -98,14 +98,6 @@ type Options struct {
 	// sharding is opted into by constructing the session with
 	// NewSharded (RestoreSession honours it).
 	Shards int
-	// SequentialShards forces the sharded core to run its per-shard
-	// placement queues one at a time in shard order instead of on one
-	// goroutine per shard.  Both modes are byte-identical by
-	// construction (shard queues are computed before the fan-out and
-	// merged in shard order); the sequential path is retained as the
-	// cross-checking oracle for the equivalence fuzz and for
-	// single-stepping in a debugger.
-	SequentialShards bool
 	// GangScheduling makes application placement all-or-nothing: if
 	// any container of an application cannot be placed, the whole
 	// application is rolled back and undeployed.  Container groups of

@@ -21,7 +21,7 @@ func TestShardedConsolidateNIncremental(t *testing.T) {
 		{ID: "fill", Demand: resource.Cores(8, 16384), Replicas: 64},
 		{ID: "mid", Demand: resource.Cores(8, 16384), Replicas: 2},
 	})
-	s := newSharded(t, shardedOpts(2, false), w, shardCluster(16))
+	s := newSharded(t, shardedOpts(2), w, shardCluster(16))
 	res, err := s.Place(appContainers(w, "fill"))
 	if err != nil {
 		t.Fatal(err)
@@ -107,7 +107,7 @@ func TestShardedConcurrentConsolidateRacingPlace(t *testing.T) {
 		}
 	}
 	w := workload.MustNew(apps)
-	s := newSharded(t, shardedOpts(4, false), w, shardCluster(32))
+	s := newSharded(t, shardedOpts(4), w, shardCluster(32))
 	containers := w.Containers()
 	half := len(containers) / 2
 	if _, err := s.Place(containers[:half]); err != nil {
@@ -183,7 +183,7 @@ func TestShardedRetryStrandedBudget(t *testing.T) {
 		{ID: "mid", Demand: resource.Cores(32, 64*1024), Replicas: 8, Priority: workload.PriorityMid},
 		{ID: "hi", Demand: resource.Cores(32, 64*1024), Replicas: 8, Priority: workload.PriorityHigh},
 	})
-	s := newSharded(t, shardedOpts(2, false), w, shardCluster(16))
+	s := newSharded(t, shardedOpts(2), w, shardCluster(16))
 	for _, app := range []string{"mid", "hi"} {
 		res, err := s.Place(appContainers(w, app))
 		if err != nil {

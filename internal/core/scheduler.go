@@ -42,12 +42,12 @@ type run struct {
 
 	// asg is the live assignment, keyed by container ordinal (Invalid =
 	// undeployed).  place/unplace are the scheduler's innermost
-	// mutations; a slice write keeps them free of string hashing.  The
-	// ID-keyed map views hand out materialise on demand.
+	// mutations; a slice write keeps them free of string hashing.  It
+	// is the only assignment state: ID-keyed maps are built from it on
+	// demand and never cached.
 	//
 	//aladdin:domain ord -> machine container ordinal → assigned machine
-	asg    []topology.MachineID
-	asgMap constraint.Assignment
+	asg []topology.MachineID
 	// residents[m] lists the workload ordinals placed on machine m in
 	// ascending ordinal order — the reverse view of asg, maintained by
 	// place/unplace so migration, drain, defrag and preemption walk a
@@ -143,19 +143,22 @@ func newRun(opts Options, w *workload.Workload, cluster *topology.Cluster) *run 
 	return r
 }
 
-// assignmentMap materialises the ID-keyed view of the assignment.
-// The map is cached until the next place/unplace, so repeated reads
-// between mutations share one map (sessions hand it out by design).
+// assignmentMap builds a fresh ID-keyed map of the assignment, sized
+// to the placed containers rather than the workload universe.
 func (r *run) assignmentMap() constraint.Assignment {
-	if r.asgMap == nil {
-		r.asgMap = make(constraint.Assignment, len(r.asg))
-		for _, c := range r.w.Containers() {
-			if m := r.asg[c.Ord]; m != topology.Invalid {
-				r.asgMap[c.ID] = m
-			}
+	n := 0
+	for _, m := range r.asg {
+		if m != topology.Invalid {
+			n++
 		}
 	}
-	return r.asgMap
+	out := make(constraint.Assignment, n)
+	for _, c := range r.w.Containers() {
+		if m := r.asg[c.Ord]; m != topology.Invalid {
+			out[c.ID] = m
+		}
+	}
+	return out
 }
 
 // Schedule implements sched.Scheduler as an adapter over a session
@@ -311,7 +314,6 @@ func (r *run) place(c *workload.Container, m topology.MachineID) error {
 	r.blacklist.PlaceRef(m, r.search.refOf(c))
 	r.asg[c.Ord] = m
 	r.addResident(m, int32(c.Ord))
-	r.asgMap = nil
 	r.search.noteUpdate(m)
 	r.met.placements.Inc()
 	r.met.placedGauge.Add(1)
@@ -361,7 +363,6 @@ func (r *run) unplace(c *workload.Container, m topology.MachineID) error {
 	r.blacklist.ReleaseRef(m, r.search.refOf(c))
 	r.asg[c.Ord] = topology.Invalid
 	r.removeResident(m, int32(c.Ord))
-	r.asgMap = nil
 	r.search.noteUpdate(m)
 	r.search.il.bump()
 	r.met.placedGauge.Add(-1)

@@ -79,6 +79,9 @@ type Session struct {
 	// chunkedDrain makes ConsolidateN drain in bounded per-shard chunks
 	// (NewSharded) instead of one pass (NewSession).
 	chunkedDrain bool //aladdin:lock-ok immutable after construction
+	// sequential runs the shard queues one at a time in shard order: the
+	// byte-identical oracle tests check the concurrent fan-out against.
+	sequential bool //aladdin:lock-ok set by tests before first use, immutable after
 
 	//aladdin:lock-ok immutable slice; each shard guarded by its own mu
 	//aladdin:domain shard -> _ shard index → shard
@@ -260,27 +263,35 @@ func (s *Session) Machine(id topology.MachineID) *topology.Machine {
 	return sh.cluster.Machine(lid)
 }
 
-// Assignment returns the container→machine map in the session's
-// machine ids.  At K=1 the map is shared until the next placement
-// change and callers must not mutate it; at K>1 it is freshly merged
-// from the shards.
+// Assignment returns a fresh container→machine map in the session's
+// machine ids, read shard by shard under each shard's lock.  The
+// caller owns the map; nothing the session keeps aliases it.
 func (s *Session) Assignment() constraint.Assignment {
-	if len(s.shards) == 1 {
-		sh := s.shards[0]
-		sh.mu.Lock()
-		asg := sh.r.assignmentMap()
-		sh.mu.Unlock()
-		return asg
-	}
-	out := make(constraint.Assignment)
+	out := make(constraint.Assignment, s.NumPlaced())
+	cs := s.w.Containers()
 	for k, sh := range s.shards {
 		sh.mu.Lock()
-		for id, lm := range sh.r.assignmentMap() {
-			out[id] = s.globalOf[k][lm]
+		for ord, lm := range sh.r.asg {
+			if lm != topology.Invalid {
+				out[cs[ord].ID] = s.global(k, lm)
+			}
 		}
 		sh.mu.Unlock()
 	}
 	return out
+}
+
+// NumPlaced returns the number of containers currently deployed.
+func (s *Session) NumPlaced() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	n := 0
+	for _, st := range s.ledger {
+		if st == ledgerPlaced {
+			n++
+		}
+	}
+	return n
 }
 
 // Placed reports whether the container is currently deployed, in O(1).
@@ -300,9 +311,13 @@ func (s *Session) Placed(containerID string) bool {
 // covers only this batch; at K=1 it — like every slice and map it
 // references — is session scratch, valid only until the next Place,
 // RetryStranded or RecoverMachine call, and callers that need to
-// retain it must copy what they keep.  Result.Elapsed reports the batch's critical path (at K>1 the
-// serial sections plus the slowest shard); Result.WallElapsed reports
-// this host's wall-clock.
+// retain it must copy what they keep.  Result.Elapsed reports the
+// batch's critical path (at K>1 the serial sections plus the slowest
+// shard); Result.WallElapsed reports this host's wall-clock.
+//
+// Place holds placeMu for the whole batch and each shard's lock while
+// that shard places.  Readers (Assignment, Placed, NumPlaced) take
+// only the shard and table locks and never write session state.
 //
 // On an internal placement error the containers placed before the
 // error stay placed, and the partial Result is returned alongside the

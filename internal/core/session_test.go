@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"maps"
 	"testing"
 
 	"aladdin/internal/resource"
@@ -61,6 +63,62 @@ func TestSessionIncrementalBatches(t *testing.T) {
 	}
 	if err := s.FlowConservation(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAssignmentIsACopy mutates the map Assignment returns and checks
+// that the session never sees it: a second Assignment, the invariant
+// audit and the next Place all read the live state, at one shard and
+// at two.
+func TestAssignmentIsACopy(t *testing.T) {
+	for _, k := range []int{1, 2} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			w := sessionWorkload()
+			opts := DefaultOptions()
+			opts.Shards = k
+			s, err := NewSharded(opts, w, shardCluster(16))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.NumShards() != k {
+				t.Fatalf("shards = %d, want %d", s.NumShards(), k)
+			}
+			if _, err := s.Place(append(appContainers(w, "web"), appContainers(w, "batch")...)); err != nil {
+				t.Fatal(err)
+			}
+			asg := s.Assignment()
+			want := maps.Clone(asg)
+			if len(want) != 10 || s.NumPlaced() != 10 {
+				t.Fatalf("placed %d (NumPlaced %d), want 10", len(want), s.NumPlaced())
+			}
+
+			// Stack both web replicas, drop a batch container and invent
+			// a db placement, all in the caller's map only.
+			asg["web/1"] = asg["web/0"]
+			delete(asg, "batch/0")
+			asg["db/0"] = asg["web/0"]
+
+			if got := s.Assignment(); !maps.Equal(got, want) {
+				t.Fatalf("second Assignment = %v, want %v", got, want)
+			}
+			if vs := s.AuditInvariants(); len(vs) != 0 {
+				t.Fatalf("audit after mutating the returned map: %v", vs)
+			}
+			res, err := s.Place(appContainers(w, "db"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Undeployed) != 0 {
+				t.Fatalf("db undeployed: %v", res.Undeployed)
+			}
+			after := s.Assignment()
+			if len(after) != 12 || s.NumPlaced() != 12 {
+				t.Fatalf("placed %d (NumPlaced %d) after db, want 12", len(after), s.NumPlaced())
+			}
+			if vs := s.Audit(); len(vs) != 0 {
+				t.Fatalf("violations after db: %v", vs)
+			}
+		})
 	}
 }
 

@@ -161,7 +161,7 @@ func NewSharded(opts Options, w *workload.Workload, cluster *topology.Cluster) (
 // per-shard critical-path timings without finishing any sooner.  A
 // single in-order worker when the sequential oracle is forced.
 func (s *Session) workers() int {
-	if s.opts.SequentialShards {
+	if s.sequential {
 		return 1
 	}
 	if n := runtime.GOMAXPROCS(0); n < len(s.shards) {
@@ -243,7 +243,7 @@ func (s *Session) isInBatch(ord int, epoch uint32) bool {
 }
 
 // placeSharded is Place for K>1: the admitted per-shard queues run
-// concurrently (or in shard order under SequentialShards, or when a
+// concurrently (or in shard order for the sequential oracle, or when a
 // move cap must be threaded through the shards), and containers a full
 // first-try shard strands get one serial spill pass over the other
 // shards in index order.  The returned Result is freshly allocated, so

@@ -113,8 +113,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 	for _, k := range []int{1, 2, 4} {
 		t.Run(fmt.Sprintf("shards=%d", k), func(t *testing.T) {
 			w := sessionWorkload()
-			par := newSharded(t, shardedOpts(k, false), w, shardCluster(32))
-			seq := newSharded(t, shardedOpts(k, true), w, shardCluster(32))
+			par := newSharded(t, shardedOpts(k), w, shardCluster(32))
+			seq := newSharded(t, shardedOpts(k), w, shardCluster(32))
+			seq.sequential = true
 			containers := w.Containers()
 			// A fixed schedule with placement churn, failures in both
 			// shard ranges, recoveries and removals.
@@ -159,10 +160,9 @@ func TestShardedMatchesSequential(t *testing.T) {
 	}
 }
 
-func shardedOpts(k int, sequential bool) Options {
+func shardedOpts(k int) Options {
 	o := DefaultOptions()
 	o.Shards = k
-	o.SequentialShards = sequential
 	return o
 }
 
@@ -175,7 +175,7 @@ func TestShardedSpill(t *testing.T) {
 	w := workload.MustNew([]*workload.App{
 		{ID: "big", Demand: resource.Cores(16, 16*1024), Replicas: 20},
 	})
-	s := newSharded(t, shardedOpts(2, false), w, shardCluster(16))
+	s := newSharded(t, shardedOpts(2), w, shardCluster(16))
 	res, err := s.Place(w.Containers())
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +208,7 @@ func TestShardedCrossShardAntiAffinity(t *testing.T) {
 	w := workload.MustNew([]*workload.App{
 		{ID: "aa", Demand: resource.Cores(2, 2048), Replicas: 16, AntiAffinitySelf: true},
 	})
-	s := newSharded(t, shardedOpts(4, false), w, shardCluster(32))
+	s := newSharded(t, shardedOpts(4), w, shardCluster(32))
 	res, err := s.Place(w.Containers())
 	if err != nil {
 		t.Fatal(err)
@@ -235,7 +235,7 @@ func TestShardedCrossShardAntiAffinity(t *testing.T) {
 // through the global-id routing layer on a non-zero shard.
 func TestShardedFailRecoverRouting(t *testing.T) {
 	w := sessionWorkload()
-	s := newSharded(t, shardedOpts(2, false), w, shardCluster(16))
+	s := newSharded(t, shardedOpts(2), w, shardCluster(16))
 	if _, err := s.Place(w.Containers()); err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestShardedFailRecoverRouting(t *testing.T) {
 // ownership table.
 func TestShardedRemove(t *testing.T) {
 	w := sessionWorkload()
-	s := newSharded(t, shardedOpts(2, false), w, shardCluster(16))
+	s := newSharded(t, shardedOpts(2), w, shardCluster(16))
 	if _, err := s.Place(w.Containers()); err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestShardedConcurrentFailRecoverRacingPlace(t *testing.T) {
 			}
 			w := workload.MustNew(apps)
 			cl := shardCluster(64)
-			s := newSharded(t, shardedOpts(k, false), w, cl)
+			s := newSharded(t, shardedOpts(k), w, cl)
 
 			var wg sync.WaitGroup
 			wg.Add(2)

@@ -317,7 +317,6 @@ func (t *Tenant) placeCoalesced(calls []*placeCall) {
 	if err != nil {
 		errMsg = err.Error()
 	}
-	t.refreshViews()
 	t.mu.Unlock()
 
 	for _, c := range survivors {

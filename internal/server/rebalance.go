@@ -1,10 +1,7 @@
 package server
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -32,13 +29,13 @@ func (rt rebalanceTarget) PackingStats() core.PackingStats {
 
 func (rt rebalanceTarget) ConsolidateN(budget int) (core.ConsolidateResult, error) {
 	rt.t.mu.Lock()
-	defer rt.t.unlockAfterWrite()
+	defer rt.t.mu.Unlock()
 	return rt.t.sess.ConsolidateN(budget)
 }
 
 func (rt rebalanceTarget) RetryStranded(budget int) (*core.RetryResult, error) {
 	rt.t.mu.Lock()
-	defer rt.t.unlockAfterWrite()
+	defer rt.t.mu.Unlock()
 	return rt.t.sess.RetryStranded(budget)
 }
 
@@ -119,16 +116,18 @@ type budgetRequest struct {
 }
 
 // decodeBudget parses an optional budget body; a missing body is the
-// zero request.
-func decodeBudget(r *http.Request) (budgetRequest, error) {
+// zero request.  On a bad body it answers the request and returns
+// false.
+func decodeBudget(w http.ResponseWriter, r *http.Request) (budgetRequest, bool) {
 	var req budgetRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		return req, err
+	if !decodeBody(w, r, &req, true) {
+		return req, false
 	}
 	if req.Budget < 0 {
-		return req, fmt.Errorf("budget must be non-negative")
+		http.Error(w, "budget must be non-negative", http.StatusBadRequest)
+		return req, false
 	}
-	return req, nil
+	return req, true
 }
 
 // schedulerErrorStatus maps a scheduler error for the response: state
@@ -145,9 +144,8 @@ func schedulerErrorStatus(err error) int {
 // path to Session.ConsolidateN, for operators who want machine
 // draining without the rebalancer's triggers.
 func (s *Server) handleConsolidate(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	req, err := decodeBudget(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	req, ok := decodeBudget(w, r)
+	if !ok {
 		return
 	}
 	res, err := t.resched.ConsolidateN(req.Budget)
@@ -161,9 +159,8 @@ func (s *Server) handleConsolidate(w http.ResponseWriter, r *http.Request, t *Te
 // handleRebalance runs one full rebalancing cycle (stranded retry,
 // triggered consolidation, audit) and returns its CycleResult.
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request, t *Tenant) {
-	req, err := decodeBudget(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	req, ok := decodeBudget(w, r)
+	if !ok {
 		return
 	}
 	res := t.rebalancer(s.reg).RunCycleBudget(req.Budget)
@@ -185,8 +182,7 @@ type rebalanceStartRequest struct {
 // handleRebalanceStart launches the tenant's background loop.
 func (s *Server) handleRebalanceStart(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req rebalanceStartRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if req.IntervalMS <= 0 || req.Budget < 0 {

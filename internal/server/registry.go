@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"sort"
@@ -63,11 +62,11 @@ func newTenantMetrics(reg *obs.Registry, name string) tenantMetrics {
 type Tenant struct {
 	name string
 
-	// mu is the session lock, the per-tenant successor of the old
-	// server-wide handler lock: mutating handlers take it exclusively,
-	// read-only handlers share it, so a handler always sees one
-	// consistent session state (and the session's lazily built views
-	// are rebuilt only under the exclusive lock, in unlockAfterWrite).
+	// mu is the session lock: mutating handlers take it exclusively
+	// and read-only handlers share it, so a handler always sees one
+	// consistent session state.  Read handlers never write session
+	// state; the diagnostics that touch the machines' lazily sorted ID
+	// lists (health, audits) take it exclusively.
 	// The core's own locks (placeMu and below) nest strictly inside it;
 	// the analyzer sees only intra-package nesting, so the server-layer
 	// levels (40/42/44) order the registry, batcher and tenant locks
@@ -101,8 +100,7 @@ type Tenant struct {
 	rb   *rebalance.Rebalancer
 }
 
-// newTenant wraps an existing session as a tenant and materializes
-// its lazy read views so shared-lock readers never write them.
+// newTenant wraps an existing session as a tenant.
 func newTenant(name string, sess *core.Session, ckptPath string, shards int, reg *obs.Registry) *Tenant {
 	w := sess.Workload()
 	t := &Tenant{
@@ -118,22 +116,7 @@ func newTenant(name string, sess *core.Session, ckptPath string, shards int, reg
 	for _, c := range w.Containers() {
 		t.byID[c.ID] = c
 	}
-	t.sess.Assignment()
 	return t
-}
-
-// refreshViews re-materializes the session's lazily-built assignment
-// view.  Mutating paths call it before releasing the tenant lock;
-// without it two concurrent readers would race to rebuild the map.
-func (t *Tenant) refreshViews() {
-	t.sess.Assignment()
-}
-
-// unlockAfterWrite releases the write lock after refreshing views —
-// the tenant-scoped version of the old server-wide helper.
-func (t *Tenant) unlockAfterWrite() {
-	t.refreshViews()
-	t.mu.Unlock()
 }
 
 // Name returns the tenant's name.
@@ -327,7 +310,7 @@ func (t *Tenant) info() tenantInfo {
 		Machines:       t.sess.Cluster().Size(),
 		MachinesDown:   down,
 		Containers:     t.w.NumContainers(),
-		Placed:         len(t.sess.Assignment()),
+		Placed:         t.sess.NumPlaced(),
 		QueueDepth:     depth,
 		Coalescing:     t.bat != nil,
 		Shards:         t.shards,
@@ -348,8 +331,7 @@ func (s *Server) handleTenantsList(w http.ResponseWriter, _ *http.Request) {
 // handleTenantCreate serves POST /tenants.
 func (s *Server) handleTenantCreate(w http.ResponseWriter, r *http.Request) {
 	var spec TenantSpec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &spec, false) {
 		return
 	}
 	t, err := s.CreateTenant(spec)

@@ -38,11 +38,10 @@ import (
 // disjoint by construction: the registry lock (this mu) guards only
 // the tenant map and is never held while a tenant or batcher lock is
 // taken; each batcher's queue lock is never held across a solver
-// call; each tenant's session lock serializes that tenant's session
-// exactly as the old single-tenant server lock did — mutating
-// handlers exclusive, read-only handlers shared, every mutating path
-// re-materializing the session's lazy read views before unlock.  The
-// scheduler core's own locks nest strictly inside a tenant lock.
+// call; each tenant's session lock serializes that tenant's session —
+// mutating handlers hold it exclusively, read-only handlers share it
+// and never write session state.  The scheduler core's own locks nest
+// strictly inside a tenant lock.
 type Server struct {
 	//aladdin:lock-level 40 tenant registry lock; guards the tenants map only and is released before any batcher or tenant session lock is acquired
 	mu      sync.RWMutex
@@ -255,7 +254,7 @@ type clusterSample struct {
 func (t *Tenant) sample() clusterSample {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	cs := clusterSample{tenant: t.name, placed: len(t.sess.Assignment())}
+	cs := clusterSample{tenant: t.name, placed: t.sess.NumPlaced()}
 	for _, cl := range t.sess.ShardClusters() {
 		lo, mean, hi := cl.UtilizationRange()
 		used := cl.UsedMachines()
@@ -438,11 +437,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request, t *Tenant
 		specs[i] = topology.MachineSpec{Name: m.Name, Rack: m.Rack, Cluster: m.Cluster, Capacity: m.Capacity(), Down: !m.Up()}
 		allocs[i] = m.Allocations()
 	}
-	live := t.sess.Assignment()
-	asg := make(constraint.Assignment, len(live))
-	for cid, m := range live {
-		asg[cid] = m
-	}
+	asg := t.sess.Assignment()
 	t.mu.RUnlock()
 	shadow, err := snapshotCluster(specs, allocs)
 	if err != nil {
@@ -524,8 +519,7 @@ type placeResponse struct {
 // directly under the tenant lock, exactly the pre-tenancy behavior.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req placeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	t.met.requests.Inc()
@@ -561,7 +555,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request, t *Tenant) 
 	}
 
 	t.mu.Lock()
-	defer t.unlockAfterWrite()
+	defer t.mu.Unlock()
 	batch := make([]*workload.Container, 0, len(req.Containers))
 	for _, id := range req.Containers {
 		c := t.byID[id]
@@ -604,12 +598,11 @@ type removeRequest struct {
 
 func (s *Server) handleRemove(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req removeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	t.mu.Lock()
-	defer t.unlockAfterWrite()
+	defer t.mu.Unlock()
 	if err := t.sess.Remove(req.Container); err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
@@ -639,12 +632,11 @@ type failResponse struct {
 // pipeline; the response reports who moved and who was stranded.
 func (s *Server) handleFail(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req machineRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	t.mu.Lock()
-	defer t.unlockAfterWrite()
+	defer t.mu.Unlock()
 	if t.sess.Machine(req.Machine) == nil {
 		http.Error(w, fmt.Sprintf("unknown machine %d", req.Machine), http.StatusNotFound)
 		return
@@ -680,12 +672,11 @@ type recoverResponse struct {
 // stranded containers the recovery re-placed onto it.
 func (s *Server) handleRecover(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req machineRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	t.mu.Lock()
-	defer t.unlockAfterWrite()
+	defer t.mu.Unlock()
 	if t.sess.Machine(req.Machine) == nil {
 		http.Error(w, fmt.Sprintf("unknown machine %d", req.Machine), http.StatusNotFound)
 		return
@@ -728,8 +719,7 @@ type checkpointResponse struct {
 // operator can checkpoint a diskless server through curl alone.
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req checkpointRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	t.mu.Lock()
@@ -780,8 +770,7 @@ type restoreResponse struct {
 // state.
 func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, t *Tenant) {
 	var req restoreRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	var snap *checkpoint.SessionSnapshot
@@ -803,7 +792,7 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, t *Tenant
 		return
 	}
 	t.mu.Lock()
-	defer t.unlockAfterWrite()
+	defer t.mu.Unlock()
 	sess, cluster, err := snap.Restore(t.sess.Options(), t.w)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
@@ -812,9 +801,32 @@ func (s *Server) handleRestore(w http.ResponseWriter, r *http.Request, t *Tenant
 	t.sess = sess
 	writeJSON(w, restoreResponse{
 		Machines:   cluster.Size(),
-		Placed:     len(sess.Assignment()),
+		Placed:     sess.NumPlaced(),
 		Undeployed: len(snap.Undeployed),
 	})
+}
+
+// maxBodyBytes caps every JSON request body: 32 MiB is over 3× an
+// inline /restore of a 10,000-machine, ~108k-container tenant (5.9 MB
+// compact, 9.2 MB as the indented JSON /checkpoint returns).
+const maxBodyBytes = 32 << 20
+
+// decodeBody decodes a JSON request body of at most maxBodyBytes into
+// v.  On failure it answers 413 for an oversize body and 400 for any
+// other decode error, and returns false.  emptyOK accepts an empty
+// body as the zero request.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil || emptyOK && errors.Is(err, io.EOF) {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	http.Error(w, err.Error(), status)
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"aladdin/internal/constraint"
 	"aladdin/internal/core"
 	"aladdin/internal/resource"
 	"aladdin/internal/topology"
@@ -262,8 +263,9 @@ func TestWriteJSONEncodeErrorIsClean500(t *testing.T) {
 }
 
 func TestHealthzDetectsCorruption(t *testing.T) {
-	// Manually violate the cluster behind the session's back: healthz
-	// must notice via the audit.
+	// Restore replays placements without re-checking anti-affinity, so
+	// a state with both self-anti-affine replicas on one machine comes
+	// back live: healthz must notice via the audit.
 	w := workload.MustNew([]*workload.App{
 		{ID: "spread", Demand: resource.Cores(2, 2048), Replicas: 2, AntiAffinitySelf: true},
 	})
@@ -271,19 +273,51 @@ func TestHealthzDetectsCorruption(t *testing.T) {
 		Machines: 2, MachinesPerRack: 2, RacksPerCluster: 1,
 		Capacity: resource.Cores(32, 64*1024),
 	})
-	sess := core.NewSession(core.DefaultOptions(), w, cl)
+	sess, err := core.RestoreSession(core.DefaultOptions(), w, cl, &core.SessionState{
+		Assignment: constraint.Assignment{"spread/0": 0, "spread/1": 0},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := New(sess, w, cl)
-	do(t, s, http.MethodPost, "/place", `{"containers":["spread/0","spread/1"]}`)
-
-	// Forge a violating state by swapping the assignment map directly
-	// (the map is shared by design).
-	asg := sess.Assignment()
-	asg["spread/1"] = asg["spread/0"]
 	rec := do(t, s, http.MethodGet, "/healthz", "")
 	if rec.Code != http.StatusInternalServerError {
 		t.Errorf("healthz should fail on violation, got %d", rec.Code)
 	}
 	if !bytes.Contains(rec.Body.Bytes(), []byte("violation")) {
 		t.Errorf("body = %s", rec.Body)
+	}
+}
+
+// fillReader is an endless stream of one byte.
+type fillReader byte
+
+func (f fillReader) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// TestOversizeBodyRejected streams a /place body one byte past the
+// cap: the handler must answer 413 without placing anything, and the
+// tenant must keep serving normal requests.
+func TestOversizeBodyRejected(t *testing.T) {
+	s, _ := testServer(t)
+	body := io.MultiReader(
+		strings.NewReader(`{"containers":["`),
+		io.LimitReader(fillReader('a'), maxBodyBytes),
+		strings.NewReader(`"]}`),
+	)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/place", body))
+	if rec.Code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize /place status = %d, want 413 (body %q)", rec.Code, rec.Body)
+	}
+	if n := s.def.sess.NumPlaced(); n != 0 {
+		t.Fatalf("oversize /place placed %d containers", n)
+	}
+	if rec := do(t, s, http.MethodPost, "/place", `{"containers":["web/0"]}`); rec.Code != http.StatusOK {
+		t.Fatalf("follow-up /place status = %d: %s", rec.Code, rec.Body)
 	}
 }

@@ -12,9 +12,8 @@ import (
 )
 
 // ShardedConfig describes one simulation run over the sharded
-// scheduler core.  Opts carries the shard count (Options.Shards) and
-// the SequentialShards oracle switch alongside the usual scheduler
-// configuration.
+// scheduler core.  Opts carries the shard count (Options.Shards)
+// alongside the usual scheduler configuration.
 type ShardedConfig struct {
 	Opts     core.Options
 	Workload *workload.Workload
