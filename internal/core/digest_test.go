@@ -109,20 +109,20 @@ func TestPlacementDigests(t *testing.T) {
 		"schedule/f50/m150/CSA":        {"ad77a2b3cf168f7c", 143549},
 		"session/f50/m150/CSA":         {"ad77a2b3cf168f7c", 140833},
 		"sharded2/f50/m150/CSA":        {"ad77a2b3cf168f7c", 140833},
-		"schedule/f5/m1050/submission": {"93d902d0182557da", 34638},
-		"session/f5/m1050/submission":  {"93d902d0182557da", 34638},
+		"schedule/f5/m1050/submission": {"93d902d0182557da", 34629},
+		"session/f5/m1050/submission":  {"93d902d0182557da", 34629},
 		"sharded2/f5/m1050/submission": {"29ab5e6ee53b9b94", 82045},
 		"schedule/f5/m1050/CHP":        {"ca5fe58a5df38efc", 200077},
 		"session/f5/m1050/CHP":         {"ca5fe58a5df38efc", 200077},
 		"sharded2/f5/m1050/CHP":        {"e375e4f799041499", 516644},
 		"schedule/f5/m1050/CLP":        {"b54df51a42f62239", 37651},
 		"session/f5/m1050/CLP":         {"b54df51a42f62239", 37651},
-		"sharded2/f5/m1050/CLP":        {"440b4f84fa0d1dcb", 416715},
+		"sharded2/f5/m1050/CLP":        {"440b4f84fa0d1dcb", 416579},
 		"schedule/f5/m1050/CLA":        {"64dfca59092909ba", 35701},
 		"session/f5/m1050/CLA":         {"64dfca59092909ba", 35701},
 		"sharded2/f5/m1050/CLA":        {"2118fda999cf6f14", 101626},
-		"schedule/f5/m1050/CSA":        {"d1af5a23b3e8ed11", 183286},
-		"session/f5/m1050/CSA":         {"d1af5a23b3e8ed11", 183286},
+		"schedule/f5/m1050/CSA":        {"d1af5a23b3e8ed11", 183278},
+		"session/f5/m1050/CSA":         {"d1af5a23b3e8ed11", 183278},
 		"sharded2/f5/m1050/CSA":        {"f06d3f294b713628", 124067},
 	}
 	for _, p := range presets {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
+	"aladdin/internal/constraint"
+	"aladdin/internal/obs"
 	"aladdin/internal/resource"
 	"aladdin/internal/topology"
+	"aladdin/internal/trace"
 	"aladdin/internal/workload"
 )
 
@@ -181,4 +185,173 @@ func TestDrainRespectsConstraints(t *testing.T) {
 		}
 		seen[m] = true
 	}
+}
+
+// runState is everything a failed rescue must leave as it found it.
+type runState struct {
+	asg       []topology.MachineID
+	used      []resource.Vector
+	residents [][]int32
+	// allows[m*apps+a] is the blacklist's answer for app a on machine m.
+	allows     []bool
+	releaseGen uint64
+}
+
+// changed names the parts of the state that differ between a and b.
+func (a runState) changed(b runState) []string {
+	var out []string
+	for _, f := range []struct {
+		name string
+		a, b any
+	}{
+		{"assignment", a.asg, b.asg},
+		{"machine usage", a.used, b.used},
+		{"residents", a.residents, b.residents},
+		{"blacklist", a.allows, b.allows},
+		{"IL release generation", a.releaseGen, b.releaseGen},
+	} {
+		if !reflect.DeepEqual(f.a, f.b) {
+			out = append(out, f.name)
+		}
+	}
+	return out
+}
+
+func snapshotRun(r *run) runState {
+	st := runState{
+		asg:        append([]topology.MachineID(nil), r.asg...),
+		releaseGen: r.search.il.releaseGen,
+	}
+	apps := r.w.NumApps()
+	for _, m := range r.cluster.Machines() {
+		st.used = append(st.used, m.Used())
+		st.residents = append(st.residents, append([]int32{}, r.residents[m.ID]...))
+		for a := 0; a < apps; a++ {
+			st.allows = append(st.allows, r.blacklist.AllowsRef(m.ID, constraint.AppRef(a)))
+		}
+	}
+	return st
+}
+
+// placeFailsWithoutTrace runs each container through placeOne, which
+// must fail for all of them, and checks that the attempts left the
+// assignment, every machine's usage and residents, the blacklist, the
+// IL release generation and the audits exactly as they were.
+func placeFailsWithoutTrace(t *testing.T, s *Session, cs ...*workload.Container) {
+	t.Helper()
+	r := s.r
+	before := snapshotRun(r)
+	auditBefore := s.AuditInvariants()
+	for _, c := range cs {
+		if _, placed, err := r.placeOne(c); err != nil || placed {
+			t.Fatalf("placeOne(%s) = placed %v, err %v; the scenario needs a failure", c.ID, placed, err)
+		}
+	}
+	if diff := before.changed(snapshotRun(r)); len(diff) != 0 {
+		t.Errorf("failed rescues changed the state: %v", diff)
+	}
+	if err := s.FlowConservation(); err != nil {
+		t.Errorf("flow conservation after failed rescues: %v", err)
+	}
+	if got := s.AuditInvariants(); !reflect.DeepEqual(auditBefore, got) {
+		t.Errorf("audit after failed rescues: %v, before %v", got, auditBefore)
+	}
+}
+
+// TestFailedRescueLeavesNoTrace builds tight clusters where every
+// rescue step fails at its first move and checks that placeOne leaves
+// no trace — not even a place call: a mover or blocker with no home
+// is found by searching before it leaves its machine.
+func TestFailedRescueLeavesNoTrace(t *testing.T) {
+	cases := []struct {
+		name   string
+		apps   []*workload.App
+		layout map[string]topology.MachineID
+		// firstMove names the container the first rescue attempt would
+		// move and the machine it sits on; it must have no home.
+		firstMove string
+		claimant  string
+	}{{
+		// big (20c) fits neither machine's free space (12c, 6c) nor
+		// any machine's free space outright, so migration has no
+		// candidate.  Defragmenting machine 0 starts with s/0, which
+		// s/1 blocks on machine 1; every other mover is too large.
+		// Nothing is lower priority, so preemption finds no victims.
+		name: "defrag mover without destination",
+		apps: []*workload.App{
+			{ID: "s", Demand: resource.Cores(4, 1024), Replicas: 2, AntiAffinitySelf: true, Priority: workload.PriorityHigh},
+			{ID: "f", Demand: resource.Cores(16, 1024), Replicas: 1, Priority: workload.PriorityHigh},
+			{ID: "g", Demand: resource.Cores(22, 1024), Replicas: 1, Priority: workload.PriorityHigh},
+			{ID: "big", Demand: resource.Cores(20, 1024), Replicas: 1, Priority: workload.PriorityHigh},
+		},
+		layout:    map[string]topology.MachineID{"s/0": 0, "f/0": 0, "s/1": 1, "g/0": 1},
+		firstMove: "s/0",
+		claimant:  "big/0",
+	}, {
+		// x is anti-affine with blk, which holds both machines; the
+		// blocker on machine 0 cannot move to machine 1, where its
+		// self-anti-affine sibling sits.  The blacklist rules out
+		// defragmentation and preemption on both machines.
+		name: "migration blocker without destination",
+		apps: []*workload.App{
+			{ID: "blk", Demand: resource.Cores(4, 1024), Replicas: 2, AntiAffinitySelf: true, Priority: workload.PriorityHigh},
+			{ID: "x", Demand: resource.Cores(4, 1024), Replicas: 1, AntiAffinityApps: []string{"blk"}, Priority: workload.PriorityHigh},
+		},
+		layout:    map[string]topology.MachineID{"blk/0": 0, "blk/1": 1},
+		firstMove: "blk/0",
+		claimant:  "x/0",
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			w := workload.MustNew(tc.apps)
+			cl := topology.New(topology.Config{
+				Machines: 2, MachinesPerRack: 2, RacksPerCluster: 1,
+				Capacity: resource.Cores(32, 64*1024),
+			})
+			opts := DefaultOptions()
+			opts.Metrics = obs.NewRegistry()
+			s := NewSession(opts, w, cl)
+			r := s.r
+			for _, c := range w.Containers() {
+				if m, ok := tc.layout[c.ID]; ok {
+					if err := r.place(c, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			mover := r.byID[tc.firstMove]
+			if from := r.asg[mover.Ord]; r.search.findMachine(mover, exclusion{machine: from}) != topology.Invalid {
+				t.Fatalf("setup: %s has a destination off machine %d", mover.ID, from)
+			}
+			placements := r.met.placements.Value()
+			placeFailsWithoutTrace(t, s, r.byID[tc.claimant])
+			if got := r.met.placements.Value(); got != placements {
+				t.Errorf("placements counter %d -> %d: a failed rescue moved something", placements, got)
+			}
+		})
+	}
+}
+
+// TestFailedRescueLeavesNoTraceOnTrace repeats the check on a packed
+// trace cluster, with IL off so every stranded container runs the full
+// rescue pipeline.  There a rescue may move a blocker before a later
+// one finds no home, so only the exact rollback is checked, not the
+// absence of moves.
+func TestFailedRescueLeavesNoTraceOnTrace(t *testing.T) {
+	w := trace.MustGenerate(trace.Scaled(42, 5))
+	opts := DefaultOptions()
+	opts.IsomorphismLimiting = false
+	s := NewSession(opts, w, topology.New(topology.AlibabaConfig(1050)))
+	res, err := s.Place(w.Arrange(workload.OrderSubmission))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Undeployed) == 0 {
+		t.Fatal("setup: the preset left nothing undeployed")
+	}
+	var stranded []*workload.Container
+	for _, id := range res.Undeployed[:min(len(res.Undeployed), 64)] {
+		stranded = append(stranded, s.r.byID[id])
+	}
+	placeFailsWithoutTrace(t, s, stranded...)
 }

@@ -240,6 +240,7 @@ func (r *run) placeOne(c *workload.Container) (victims []*workload.Container, pl
 		}
 		r.met.ilMisses.Inc()
 	}
+	gen := r.search.il.releaseGen
 	if m := r.search.findMachine(c, noExclusion); m != topology.Invalid {
 		if err := r.place(c, m); err != nil {
 			return nil, false, err
@@ -259,9 +260,13 @@ func (r *run) placeOne(c *workload.Container) (victims []*workload.Container, pl
 			return victims, ok, err
 		}
 	}
-	// An unplaceability proof recorded while a move cap constrains the
-	// rescue pipeline would poison later unconstrained searches — the
-	// failure may be the cap's, not the cluster's.
+	// Every rescue step failed and rolled back exactly, so the state is
+	// the one this call started from: its releases were not net
+	// releases, and every IL proof recorded before the call still
+	// holds.  An unplaceability proof recorded while a move cap
+	// constrains the rescue pipeline would poison later unconstrained
+	// searches — the failure may be the cap's, not the cluster's.
+	r.search.il.releaseGen = gen
 	if r.opts.IsomorphismLimiting && !r.moveCapped {
 		r.search.il.note(r.search.refOf(c))
 	}
@@ -393,13 +398,14 @@ func (r *run) tryMigrationInner(c *workload.Container) (bool, error) {
 	// pressure (a large spread service arriving into a packed
 	// cluster) most machines hold only one or two blockers.
 	candidates := r.search.findResourceFits(c, noExclusion, 0)
+	ref := r.search.refOf(c)
 	type cand struct {
 		m        topology.MachineID
 		blockers []*workload.Container
 	}
 	var ranked []cand
 	for _, mid := range candidates {
-		if r.blacklist.Allows(mid, c) {
+		if r.blacklist.AllowsRef(mid, ref) {
 			// A direct path exists after all (state changed since the
 			// failed search); just take it.
 			return r.place(c, mid) == nil, nil
@@ -449,9 +455,13 @@ func (r *run) blockersOn(m topology.MachineID, c *workload.Container) []*workloa
 }
 
 // relocate moves every blocker off machine m and places c there; on
-// any failure all moves are rolled back.  A non-nil error means a
-// rollback or restore step itself failed and the scheduler state is
-// corrupt (see CorruptionError).
+// any failure all moves are rolled back.  Each blocker's destination
+// is searched for while it still sits on m: the search excludes m, and
+// the blocker leaving m changes no other machine, so the answer is
+// the one a search after the move would give, and a blocker with no
+// home costs a rollback of the earlier moves only.  A non-nil error
+// means a rollback or restore step itself failed and the scheduler
+// state is corrupt (see CorruptionError).
 func (r *run) relocate(blockers []*workload.Container, m topology.MachineID, c *workload.Container) (bool, error) {
 	type move struct {
 		c        *workload.Container
@@ -471,15 +481,11 @@ func (r *run) relocate(blockers []*workload.Container, m topology.MachineID, c *
 		return nil
 	}
 	for _, b := range blockers {
-		if err := r.unplace(b, m); err != nil {
-			return false, rollback()
-		}
 		dest := r.search.findMachine(b, exclusion{machine: m})
 		if dest == topology.Invalid {
-			// Put the blocker back and abandon this machine.
-			if err := r.place(b, m); err != nil {
-				return false, r.corrupt("migration restore blocker", err)
-			}
+			return false, rollback() // abandon this machine
+		}
+		if err := r.unplace(b, m); err != nil {
 			return false, rollback()
 		}
 		if err := r.place(b, dest); err != nil {
@@ -490,7 +496,7 @@ func (r *run) relocate(blockers []*workload.Container, m topology.MachineID, c *
 		}
 		done = append(done, move{c: b, from: m, to: dest})
 	}
-	if !r.blacklist.Allows(m, c) || !r.cluster.Machine(m).Fits(c.Demand) {
+	if !r.blacklist.AllowsRef(m, r.search.refOf(c)) || !r.cluster.Machine(m).Fits(c.Demand) {
 		return false, rollback()
 	}
 	if err := r.place(c, m); err != nil {
@@ -557,7 +563,9 @@ func (r *run) consolidateBudget(budget int) (moves int, more bool, err error) {
 	// failed drain rolls back exactly, so state advances only when a
 	// drain succeeds.  epoch counts successes; a machine whose drain
 	// failed at the current epoch would fail identically if retried,
-	// so later passes skip it until some drain lands.
+	// so later passes skip it until some drain lands.  For the same
+	// reason a failed drain's releases are not net releases: the IL
+	// generation rewinds past them, keeping earlier proofs alive.
 	epoch := 0
 	failedAt := make(map[topology.MachineID]int)
 	memo := make(map[drainKey]topology.MachineID)
@@ -604,6 +612,7 @@ func (r *run) consolidateBudget(budget int) (moves int, more bool, err error) {
 			}
 			// The memo shares feasibility prechecks across attempts: it
 			// too stays valid until the next successful drain.
+			gen := r.search.il.releaseGen
 			if ok, derr := r.drain(cand.m, memo); derr != nil {
 				return moves, more, derr
 			} else if ok {
@@ -613,6 +622,7 @@ func (r *run) consolidateBudget(budget int) (moves int, more bool, err error) {
 				clear(memo)
 			} else {
 				failedAt[cand.m] = epoch
+				r.search.il.releaseGen = gen
 			}
 		}
 		if !drained {
@@ -716,14 +726,13 @@ func (r *run) drain(m topology.MachineID, memo map[drainKey]topology.MachineID) 
 		return nil
 	}
 	for _, c := range cs {
-		if err := r.unplace(c, m); err != nil {
-			return false, rollback()
-		}
+		// Searched before the move, as in relocate: m is excluded, so
+		// c still sitting on it changes no answer.
 		dest := r.search.findMachine(c, exclusion{machine: m, skipEmpty: true})
 		if dest == topology.Invalid {
-			if err := r.place(c, m); err != nil {
-				return false, r.corrupt("drain restore", err)
-			}
+			return false, rollback()
+		}
+		if err := r.unplace(c, m); err != nil {
 			return false, rollback()
 		}
 		if err := r.place(c, dest); err != nil {
@@ -750,7 +759,7 @@ func (r *run) drain(m topology.MachineID, memo map[drainKey]topology.MachineID) 
 // migration histogram: defragmentation is the same relocate-to-admit
 // rescue, differing only in what blocks the claimant.
 //
-//aladdin:hotpath-stop rescue path: defragmentation is rare and allocates for target ranking by design
+//aladdin:hotpath-stop rescue path: defragmentation is rare and allocates its mover list and rollback log by design
 func (r *run) tryDefrag(c *workload.Container) (bool, error) {
 	if !r.met.on {
 		return r.tryDefragInner(c)
@@ -766,32 +775,36 @@ func (r *run) tryDefragInner(c *workload.Container) (bool, error) {
 		m    topology.MachineID
 		free int64
 	}
-	var targets []target
+	// Keep the 16 best machines that could hold c once cleared, most
+	// free space first (fewest containers to move).  Machines arrive in
+	// ascending ID order, so a newcomer outranks a kept entry only on
+	// strictly more free CPU, and one that cannot enter a full list is
+	// dropped before its blacklist probe.
+	ref := r.search.refOf(c)
+	var top [16]target
+	n := 0
 	for _, m := range r.cluster.Machines() {
-		if !m.Up() {
+		if !m.Up() || !c.Demand.Fits(m.Capacity()) {
 			continue
 		}
-		if !c.Demand.Fits(m.Capacity()) {
+		free := m.Free().Dim(resource.CPU)
+		if n == len(top) && free <= top[n-1].free {
 			continue
 		}
-		if !r.blacklist.Allows(m.ID, c) {
+		if !r.blacklist.AllowsRef(m.ID, ref) {
 			continue
 		}
-		targets = append(targets, target{m: m.ID, free: m.Free().Dim(resource.CPU)})
+		if n < len(top) {
+			n++
+		}
+		i := n - 1
+		for ; i > 0 && top[i-1].free < free; i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = target{m: m.ID, free: free}
 	}
-	// Most free space first: fewest containers to move.
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].free != targets[j].free {
-			return targets[i].free > targets[j].free
-		}
-		return targets[i].m < targets[j].m
-	})
-	const maxAttempts = 16
-	for i, tg := range targets {
-		if i >= maxAttempts {
-			break
-		}
-		if ok, err := r.defragInto(tg.m, c); err != nil {
+	for _, tg := range top[:n] {
+		if ok, err := r.defragInto(tg.m, c, ref); err != nil {
 			return false, err
 		} else if ok {
 			return true, nil
@@ -801,10 +814,12 @@ func (r *run) tryDefragInner(c *workload.Container) (bool, error) {
 }
 
 // defragInto moves the smallest containers off machine m until c
-// fits, then places c; everything rolls back on failure.  A non-nil
-// error means a rollback or restore step itself failed and the
-// scheduler state is corrupt.
-func (r *run) defragInto(m topology.MachineID, c *workload.Container) (bool, error) {
+// fits, then places c; everything rolls back on failure.  As in
+// relocate, a mover's destination is searched for before it leaves m,
+// so a mover with no home is skipped without touching any state.  ref
+// is c's app ref.  A non-nil error means a rollback or restore step
+// itself failed and the scheduler state is corrupt.
+func (r *run) defragInto(m topology.MachineID, c *workload.Container, ref constraint.AppRef) (bool, error) {
 	machine := r.cluster.Machine(m)
 	// Choose movers: smallest CPU first, skip nothing else — the
 	// relocation search enforces their constraints at the new homes.
@@ -849,15 +864,12 @@ func (r *run) defragInto(m topology.MachineID, c *workload.Container) (bool, err
 		if len(done) >= maxMoves {
 			break
 		}
-		if err := r.unplace(mv, m); err != nil {
-			return false, rollback()
-		}
 		dest := r.search.findMachine(mv, exclusion{machine: m})
 		if dest == topology.Invalid {
-			if err := r.place(mv, m); err != nil {
-				return false, r.corrupt("defrag restore", err)
-			}
 			continue // try the next mover
+		}
+		if err := r.unplace(mv, m); err != nil {
+			return false, rollback()
 		}
 		if err := r.place(mv, dest); err != nil {
 			if perr := r.place(mv, m); perr != nil {
@@ -867,7 +879,7 @@ func (r *run) defragInto(m topology.MachineID, c *workload.Container) (bool, err
 		}
 		done = append(done, move{c: mv, from: m, to: dest})
 	}
-	if !c.Demand.Fits(machine.Free()) || !r.blacklist.Allows(m, c) {
+	if !c.Demand.Fits(machine.Free()) || !r.blacklist.AllowsRef(m, ref) {
 		return false, rollback()
 	}
 	if err := r.place(c, m); err != nil {
@@ -903,6 +915,7 @@ func (r *run) tryPreemptionInner(c *workload.Container) ([]*workload.Container, 
 	if !r.opts.DisableWeights && c.Priority <= workload.PriorityLow {
 		return nil, false, nil
 	}
+	ref := r.search.refOf(c)
 	for _, gname := range r.cluster.SubClusters() {
 		for _, rname := range r.cluster.SubCluster(gname).Racks {
 			for _, mid := range r.cluster.Rack(rname).Machines {
@@ -913,7 +926,7 @@ func (r *run) tryPreemptionInner(c *workload.Container) ([]*workload.Container, 
 				if !c.Demand.Fits(machine.Capacity()) {
 					continue
 				}
-				if !r.blacklist.Allows(mid, c) {
+				if !r.blacklist.AllowsRef(mid, ref) {
 					continue
 				}
 				victims := r.pickVictims(mid, c)
@@ -937,6 +950,19 @@ func (r *run) tryPreemptionInner(c *workload.Container) ([]*workload.Container, 
 					if err := r.unplace(v, mid); err != nil {
 						return nil, false, r.corrupt("preemption evict", err)
 					}
+				}
+				if err := r.place(c, mid); err != nil {
+					// Should not happen: we just freed enough.  The
+					// eviction bookkeeping below has not run yet, so
+					// re-placing the victims restores the state exactly.
+					for _, v := range victims {
+						if perr := r.place(v, mid); perr != nil {
+							return nil, false, r.corrupt("preemption restore victim", perr)
+						}
+					}
+					return nil, false, nil
+				}
+				for _, v := range victims {
 					r.preemptLog = append(r.preemptLog, preemptEvent{claimant: c, victim: v, machine: mid})
 					r.requeues[v.Ord]++
 					if v.Priority >= c.Priority {
@@ -948,15 +974,6 @@ func (r *run) tryPreemptionInner(c *workload.Container) ([]*workload.Container, 
 							ContainerA: c.ID, ContainerB: v.ID,
 						})
 					}
-				}
-				if err := r.place(c, mid); err != nil {
-					// Should not happen: we just freed enough.
-					for _, v := range victims {
-						if perr := r.place(v, mid); perr != nil {
-							return nil, false, r.corrupt("preemption restore victim", perr)
-						}
-					}
-					return nil, false, nil
 				}
 				r.preempts += len(victims)
 				r.met.preemptions.Add(int64(len(victims)))

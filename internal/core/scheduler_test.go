@@ -516,29 +516,46 @@ func TestILInvalidatedByRelease(t *testing.T) {
 	}
 }
 
+// TestILReducesExploration checks that isomorphism limiting is a pure
+// shortcut: with IL on and off, Schedule must produce the same
+// placement digest, and IL may only cut explored vertices.  On the
+// rescue-heavy f5/m1050 preset it must cut them: failed rescues roll
+// back exactly and do not age IL proofs, so the siblings of a stranded
+// container skip.
 func TestILReducesExploration(t *testing.T) {
-	// IL must not change placements, only cut explored vertices.
-	w := trace.MustGenerate(trace.Scaled(13, 150))
-	clA := smallCluster(224)
-	clB := smallCluster(224)
-
-	base := DefaultOptions()
-	base.IsomorphismLimiting = false
-	withIL := DefaultOptions()
-
-	arrivals := w.Arrange(workload.OrderSubmission)
-	resA, err := New(base).Schedule(w, clA, arrivals)
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		name    string
+		w       *workload.Workload
+		cluster func() *topology.Cluster
+		mustCut bool
+	}{
+		{"s13/f150/small224", trace.MustGenerate(trace.Scaled(13, 150)), func() *topology.Cluster { return smallCluster(224) }, false},
+		{"f5/m1050", trace.MustGenerate(trace.Scaled(42, 5)), func() *topology.Cluster { return topology.New(topology.AlibabaConfig(1050)) }, true},
+		{"f20/m262", trace.MustGenerate(trace.Scaled(42, 20)), func() *topology.Cluster { return topology.New(topology.AlibabaConfig(262)) }, false},
+		{"f50/m100", trace.MustGenerate(trace.Scaled(42, 50)), func() *topology.Cluster { return topology.New(topology.AlibabaConfig(100)) }, false},
 	}
-	resB, err := New(withIL).Schedule(w, clB, arrivals)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(resA.Undeployed) != len(resB.Undeployed) {
-		t.Errorf("IL changed undeployed: %d vs %d", len(resA.Undeployed), len(resB.Undeployed))
-	}
-	if va, vb := resA.ViolationSummary().Total(), resB.ViolationSummary().Total(); va != 0 || vb != 0 {
-		t.Errorf("violations: %d vs %d", va, vb)
+	for _, tc := range cases {
+		arrivals := tc.w.Arrange(workload.OrderSubmission)
+		var res [2]*sched.Result
+		for i, il := range []bool{true, false} {
+			opts := DefaultOptions()
+			opts.IsomorphismLimiting = il
+			r, err := New(opts).Schedule(tc.w, tc.cluster(), arrivals)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if v := r.ViolationSummary().Total(); v != 0 {
+				t.Errorf("%s: IL %v: %d violations", tc.name, il, v)
+			}
+			res[i] = r
+		}
+		on, off := placementDigest(tc.w, res[0].Assignment), placementDigest(tc.w, res[1].Assignment)
+		if on != off {
+			t.Errorf("%s: IL changed placements: digest %s on, %s off", tc.name, on, off)
+		}
+		t.Logf("%s: digest %s, explored IL on %d, off %d", tc.name, on, res[0].WorkUnits, res[1].WorkUnits)
+		if res[0].WorkUnits > res[1].WorkUnits || (tc.mustCut && res[0].WorkUnits == res[1].WorkUnits) {
+			t.Errorf("%s: IL explored %d vertices, %d without it", tc.name, res[0].WorkUnits, res[1].WorkUnits)
+		}
 	}
 }

@@ -160,3 +160,105 @@ func TestSlowExplainDoesNotSerializePlace(t *testing.T) {
 		t.Fatalf("slow /explain -> %d", code)
 	}
 }
+
+// TestConcurrentHealthReads runs GET /healthz beside the other read
+// handlers and the rebalancer's audit adapter, all under the tenant's
+// shared read lock.  Every machine's sorted ID cache starts unbuilt,
+// so the readers race to build it; it is published atomically, so
+// under `go test -race` this must show no data race.  The detector
+// sees such a race only when the builds overlap, so the scenario
+// repeats on fresh sessions.  And a /healthz must complete while
+// another reader holds the read lock, which it could not if it took
+// the write lock.
+func TestConcurrentHealthReads(t *testing.T) {
+	w := workload.MustNew([]*workload.App{
+		{ID: "a", Demand: resource.Cores(2, 2048), Replicas: 16},
+		{ID: "b", Demand: resource.Cores(4, 4096), Replicas: 8, AntiAffinitySelf: true},
+	})
+	var (
+		s      *Server
+		tenant *Tenant
+	)
+	for rep := 0; rep < 8; rep++ {
+		cl := topology.New(topology.Config{
+			Machines: 8, MachinesPerRack: 4, RacksPerCluster: 2,
+			Capacity: resource.Cores(32, 64*1024),
+		})
+		sess := core.NewSession(core.DefaultOptions(), w, cl)
+		if _, err := sess.Place(w.Containers()); err != nil {
+			t.Fatal(err)
+		}
+		s = New(sess, w, cl)
+		tenant = s.lookupTenant(DefaultTenant)
+		concurrentReads(t, s, tenant, cl.Size())
+	}
+
+	tenant.mu.RLock()
+	done := make(chan int, 1)
+	go func() { done <- getCode(s, "/healthz") }()
+	select {
+	case code := <-done:
+		if code != http.StatusOK {
+			t.Errorf("/healthz beside a reader -> %d", code)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("/healthz blocked behind a reader: it takes the write lock")
+	}
+	tenant.mu.RUnlock()
+}
+
+// concurrentReads runs the read handlers, the rebalancer's audits and
+// a direct walk of every machine's residents side by side.
+func concurrentReads(t *testing.T, s *Server, tenant *Tenant, machines int) {
+	t.Helper()
+	var wg sync.WaitGroup
+	const rounds = 4
+	paths := []string{"/healthz", "/healthz", "/assignments", "/explain?container=b/0", "/metrics"}
+	for _, path := range paths {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				if code := getCode(s, path); code != http.StatusOK {
+					t.Errorf("GET %s -> %d", path, code)
+					return
+				}
+			}
+		}()
+	}
+	// A reader walking the topology directly, as the scrape-time
+	// cluster sample does, with no shard lock.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			tenant.mu.RLock()
+			for m := 0; m < machines; m++ {
+				_ = tenant.sess.Machine(topology.MachineID(m)).ContainerIDs()
+			}
+			tenant.mu.RUnlock()
+		}
+	}()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if vs := tenant.resched.AuditInvariants(); len(vs) != 0 {
+				t.Errorf("audit found violations: %v", vs)
+				return
+			}
+			if err := tenant.resched.FlowConservation(); err != nil {
+				t.Errorf("flow conservation: %v", err)
+				return
+			}
+		}
+	}()
+	wg.Wait()
+}
+
+func getCode(s *Server, path string) int {
+	req := httptest.NewRequest(http.MethodGet, path, strings.NewReader(""))
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	return rec.Code
+}

@@ -39,18 +39,17 @@ func (rt rebalanceTarget) RetryStranded(budget int) (*core.RetryResult, error) {
 	return rt.t.sess.RetryStranded(budget)
 }
 
-// The audits mutate lazily-built caches (sorted container IDs), so
-// they need the exclusive lock even though they only diagnose —
-// exactly like handleHealth.
+// The audits only read, so they take the read lock, like
+// handleHealth.
 func (rt rebalanceTarget) AuditInvariants() []core.AuditViolation {
-	rt.t.mu.Lock()
-	defer rt.t.mu.Unlock()
+	rt.t.mu.RLock()
+	defer rt.t.mu.RUnlock()
 	return rt.t.sess.AuditInvariants()
 }
 
 func (rt rebalanceTarget) FlowConservation() error {
-	rt.t.mu.Lock()
-	defer rt.t.mu.Unlock()
+	rt.t.mu.RLock()
+	defer rt.t.mu.RUnlock()
 	return rt.t.sess.FlowConservation()
 }
 

@@ -64,9 +64,8 @@ type Tenant struct {
 
 	// mu is the session lock: mutating handlers take it exclusively
 	// and read-only handlers share it, so a handler always sees one
-	// consistent session state.  Read handlers never write session
-	// state; the diagnostics that touch the machines' lazily sorted ID
-	// lists (health, audits) take it exclusively.
+	// consistent session state.  Read handlers, the health check and
+	// the audits included, never write session state.
 	// The core's own locks (placeMu and below) nest strictly inside it;
 	// the analyzer sees only intra-package nesting, so the server-layer
 	// levels (40/42/44) order the registry, batcher and tenant locks

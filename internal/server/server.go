@@ -213,13 +213,11 @@ func (s *Server) named(h tenantHandler) http.HandlerFunc {
 	}
 }
 
-// handleHealth holds the write lock even though it only diagnoses:
-// the audit walks Machine.ContainerIDs, whose sorted-ID cache is
-// rebuilt lazily, so running it under the shared read lock would race
-// with other readers.
+// handleHealth only reads, so it shares the read lock with the other
+// read handlers; the session takes its shard locks inside.
 func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request, t *Tenant) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	if err := t.sess.FlowConservation(); err != nil {
 		http.Error(w, fmt.Sprintf("flow conservation violated: %v", err), http.StatusInternalServerError)
 		return

@@ -8,6 +8,7 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"aladdin/internal/resource"
 )
@@ -41,9 +42,14 @@ type Machine struct {
 	containers map[string]resource.Vector
 
 	// idsCache holds the sorted ContainerIDs result between
-	// allocation changes (nil = stale).  Migration-heavy passes read
-	// the hosted set far more often than they change it.
-	idsCache []string
+	// allocation changes (nil = not built).  The baseline schedulers
+	// read the hosted set far more often than they change it, while
+	// Aladdin's placement path never reads it, so it is built on first
+	// read rather than kept on every Allocate.  The build is published
+	// atomically, so concurrent readers may share a machine (at worst
+	// two build the same list); Allocate, Release and Reset are
+	// writers and, like every writer, must not run beside a reader.
+	idsCache atomic.Pointer[[]string]
 }
 
 // NewMachine builds an empty machine with the given capacity.
@@ -86,18 +92,20 @@ func (m *Machine) Allocations() map[string]resource.Vector {
 }
 
 // ContainerIDs returns the IDs of hosted containers in sorted order.
-// The slice is cached until the next Allocate/Release/Reset; callers
-// must not modify it.
+// Concurrent readers are safe.  The slice is cached until the next
+// Allocate/Release/Reset, which may change it in place: callers must
+// not modify it, and must copy it to keep it across a change.
 func (m *Machine) ContainerIDs() []string {
-	if m.idsCache == nil {
-		ids := make([]string, 0, len(m.containers))
-		for id := range m.containers {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		m.idsCache = ids
+	if p := m.idsCache.Load(); p != nil {
+		return *p
 	}
-	return m.idsCache
+	ids := make([]string, 0, len(m.containers))
+	for id := range m.containers {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	m.idsCache.Store(&ids)
+	return ids
 }
 
 // Up reports whether the machine is in service.  Down machines admit
@@ -136,13 +144,15 @@ func (m *Machine) Allocate(containerID string, demand resource.Vector) error {
 	}
 	m.containers[containerID] = demand
 	m.used = m.used.Add(demand)
-	if m.idsCache != nil {
+	if p := m.idsCache.Load(); p != nil {
 		// Keep the cache sorted incrementally: one insertion beats
 		// re-sorting the whole list on the next read.
-		i := sort.SearchStrings(m.idsCache, containerID)
-		m.idsCache = append(m.idsCache, "")
-		copy(m.idsCache[i+1:], m.idsCache[i:])
-		m.idsCache[i] = containerID
+		ids := *p
+		i := sort.SearchStrings(ids, containerID)
+		ids = append(ids, "")
+		copy(ids[i+1:], ids[i:])
+		ids[i] = containerID
+		*p = ids
 	}
 	return nil
 }
@@ -156,9 +166,10 @@ func (m *Machine) Release(containerID string) (resource.Vector, error) {
 	}
 	delete(m.containers, containerID)
 	m.used = m.used.Sub(demand)
-	if m.idsCache != nil {
-		if i := sort.SearchStrings(m.idsCache, containerID); i < len(m.idsCache) && m.idsCache[i] == containerID {
-			m.idsCache = append(m.idsCache[:i], m.idsCache[i+1:]...)
+	if p := m.idsCache.Load(); p != nil {
+		ids := *p
+		if i := sort.SearchStrings(ids, containerID); i < len(ids) && ids[i] == containerID {
+			*p = append(ids[:i], ids[i+1:]...)
 		}
 	}
 	return demand, nil
@@ -168,7 +179,7 @@ func (m *Machine) Release(containerID string) (resource.Vector, error) {
 func (m *Machine) Reset() {
 	m.containers = make(map[string]resource.Vector)
 	m.used = resource.Vector{}
-	m.idsCache = nil
+	m.idsCache.Store(nil)
 }
 
 // Utilization returns mean used/capacity across dimensions.

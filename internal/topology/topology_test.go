@@ -98,13 +98,29 @@ func TestMachineContainerIDsSorted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ids := m.ContainerIDs()
-	want := []string{"a", "b", "c"}
-	for i := range want {
-		if ids[i] != want[i] {
+	check := func(want ...string) {
+		t.Helper()
+		ids := m.ContainerIDs()
+		if len(ids) != len(want) {
 			t.Fatalf("ContainerIDs = %v, want %v", ids, want)
 		}
+		for i := range want {
+			if ids[i] != want[i] {
+				t.Fatalf("ContainerIDs = %v, want %v", ids, want)
+			}
+		}
 	}
+	check("a", "b", "c")
+	if _, err := m.Release("b"); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "c")
+	if err := m.Allocate("ab", resource.Cores(1, 1)); err != nil {
+		t.Fatal(err)
+	}
+	check("a", "ab", "c")
+	m.Reset()
+	check()
 }
 
 func TestMachineUtilization(t *testing.T) {
